@@ -1,15 +1,12 @@
-// Fleet throughput — the engine-layer scenario family: sessions/sec of a
-// multi-device server multiplexing Schnorr identification sessions over a
-// worker pool, and the amortization win of batched verification.
+// Fleet verification — the engine-layer scenario family: the amortization
+// win of batched Schnorr verification, the per-shard verifier's kernel.
 //
-// No paper table: the paper stops at one tag <-> one mini-server. This
-// bench opens the scaling axis the ROADMAP asks for. Two claims are
-// measured and printed up front:
-//   1. verifying a batch of 64 transcripts by random linear combination
-//      (one interleaved multi-scalar multiplication + one shared
-//      batch-inversion decode) beats 64 independent schnorr_verify calls;
-//   2. sessions/sec scales with worker threads (near-linear to 4 on a
-//      4-core host — on fewer cores the curve flattens at nproc).
+// No paper table: the paper stops at one tag <-> one mini-server. The
+// claim measured and printed up front: verifying a batch of 64
+// transcripts by random linear combination (one interleaved multi-scalar
+// multiplication + one shared batch-inversion decode) beats 64
+// independent schnorr_verify calls. End-to-end sessions/s of the sharded
+// gateway lives in bench_loadgen.
 //
 // Emits BENCH_fleet.json (google-benchmark JSON schema) for the perf
 // trajectory unless --benchmark_out is given.
@@ -18,14 +15,11 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "bench_util.h"
 #include "ecc/curve.h"
 #include "engine/batch_verifier.h"
-#include "engine/fleet_server.h"
 #include "gf2m/backend.h"
 #include "protocol/schnorr.h"
 #include "protocol/wire.h"
@@ -61,7 +55,7 @@ const HonestBatch& honest_batch(std::size_t n) {
 // --- the headline numbers, printed before the timers -------------------------
 
 void print_table() {
-  bench::banner("Fleet throughput: batched verification + session engine",
+  bench::banner("Fleet throughput: batched verification",
                 "engine-layer scaling scenario (beyond the paper's 1:1 link)");
 
   const ecc::Curve& c = ecc::Curve::k163();
@@ -158,101 +152,6 @@ void BM_DecodePointsBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_DecodePointsBatch);
-
-// --- full-engine throughput --------------------------------------------------
-
-/// Pre-scripted device traffic: in deterministic mode the server derives
-/// per-session randomness from (seed, session id), so the challenges —
-/// and therefore the whole honest transcript — can be computed once
-/// outside the timed region. The timed region measures pure server work:
-/// challenge generation, registry, decode, batched verification, thread
-/// handoff. (FleetConfig::deterministic is replay-only; a production
-/// server keeps the default entropy-mixed seed.)
-struct FleetScript {
-  std::vector<std::uint32_t> device;
-  std::vector<proto::Message> commitment;
-  std::vector<proto::Message> response;
-  std::vector<proto::SchnorrKeyPair> keys;
-};
-
-const FleetScript& fleet_script(std::size_t sessions, std::uint64_t seed) {
-  static std::map<std::pair<std::size_t, std::uint64_t>, FleetScript> cache;
-  auto& slot = cache[{sessions, seed}];
-  if (!slot.device.empty()) return slot;
-  const ecc::Curve& c = ecc::Curve::k163();
-  constexpr std::size_t kDevices = 32;
-  rng::Xoshiro256 keyrng(80);
-  for (std::size_t d = 0; d < kDevices; ++d)
-    slot.keys.push_back(proto::schnorr_keygen(c, keyrng));
-  // Session ids are handed out 1..N in open order; replay the server's
-  // per-session rng to learn the challenge each session will see.
-  engine::FleetConfig cfg;
-  cfg.seed = seed;
-  for (std::size_t i = 0; i < sessions; ++i) {
-    const std::uint32_t dev = static_cast<std::uint32_t>(i % kDevices);
-    const std::uint64_t sid = i + 1;
-    rng::Xoshiro256 tag_rng(9000 + sid);
-    proto::SchnorrProver prover(c, slot.keys[dev], tag_rng);
-    // Mirror of FleetServer's per-session rng derivation (mix_seed).
-    std::uint64_t s = cfg.seed ^ (0x9E3779B97F4A7C15ULL * (sid + 1));
-    rng::Xoshiro256 srv_rng(rng::splitmix64(s));
-    proto::SchnorrVerifier verifier(c, slot.keys[dev].X, srv_rng,
-                                    proto::SchnorrVerifier::Mode::kDeferred);
-    const auto commit = prover.start();
-    const auto challenge = verifier.on_message(commit.out[0]);
-    const auto response = prover.on_message(challenge.out[0]);
-    slot.device.push_back(dev);
-    slot.commitment.push_back(commit.out[0]);
-    slot.response.push_back(response.out[0]);
-  }
-  return slot;
-}
-
-void BM_FleetSessions(benchmark::State& state) {
-  const ecc::Curve& c = ecc::Curve::k163();
-  constexpr std::size_t kSessions = 256;
-  constexpr std::uint64_t kSeed = 0xF1EE7;
-  const auto& script = fleet_script(kSessions, kSeed);
-
-  engine::FleetConfig cfg;
-  cfg.worker_threads = static_cast<std::size_t>(state.range(0));
-  cfg.verify_batch = static_cast<std::size_t>(state.range(1));
-  cfg.seed = kSeed;
-  cfg.deterministic = true;  // replay needs reproducible challenges
-
-  std::size_t completed = 0;
-  for (auto _ : state) {
-    engine::FleetServer server(
-        c, cfg, [&](std::uint64_t sid, const proto::Message&) {
-          // The challenge is known in advance (scripted): answer with the
-          // prerecorded response. sid is 1-based in open order.
-          server.deliver(sid, script.response[sid - 1]);
-        });
-    for (const auto& kp : script.keys) server.enroll(kp.X);
-    std::vector<std::uint64_t> sids;
-    sids.reserve(kSessions);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      const auto sid = server.open_schnorr_session(script.device[i]);
-      server.deliver(sid, script.commitment[i]);
-      sids.push_back(sid);
-    }
-    server.drain();
-    for (const auto sid : sids)
-      if (server.record(sid).accepted) ++completed;
-  }
-  if (completed !=
-      kSessions * static_cast<std::size_t>(state.iterations()))
-    state.SkipWithError("fleet rejected scripted honest sessions");
-  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
-  state.counters["sessions_per_s"] = benchmark::Counter(
-      static_cast<double>(completed), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FleetSessions)
-    ->ArgsProduct({{1, 2, 4}, {1, 64}})
-    ->ArgNames({"threads", "batch"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
 
 }  // namespace
 

@@ -21,6 +21,7 @@
 
 #include "bench_util.h"
 #include "engine/gateway.h"
+#include "engine/shard.h"
 #include "engine/transport.h"
 
 namespace {
@@ -31,7 +32,6 @@ engine::ChaosCampaignConfig campaign_config(std::size_t sessions,
                                             double loss, double corrupt) {
   engine::ChaosCampaignConfig cfg;
   cfg.sessions = sessions;
-  cfg.sessions_per_shard = 64;
   cfg.seed = 0xC4A05CA7;
   cfg.uplink.drop = loss;
   cfg.uplink.corrupt = corrupt;
@@ -39,6 +39,15 @@ engine::ChaosCampaignConfig campaign_config(std::size_t sessions,
   cfg.uplink.duplicate = 0.05;
   cfg.downlink = cfg.uplink;
   return cfg;
+}
+
+/// The campaign on four shard worlds.
+engine::ChaosCampaignResult run_campaign(
+    const engine::ChaosCampaignConfig& chaos) {
+  engine::ShardedCampaignConfig cfg;
+  cfg.chaos = chaos;
+  cfg.shards = 4;
+  return engine::run_sharded_campaign(cfg).chaos;
 }
 
 // --- the headline numbers, printed before the timers -------------------------
@@ -54,8 +63,7 @@ bool print_table() {
       "complete", "retx/sess", "p50", "p99", "max");
   for (const double corrupt : {0.0, 0.05}) {
     for (const double loss : {0.0, 0.05, 0.10, 0.20, 0.30}) {
-      const auto r = engine::run_chaos_campaign(
-          campaign_config(256, loss, corrupt));
+      const auto r = run_campaign(campaign_config(256, loss, corrupt));
       char label[64];
       std::snprintf(label, sizeof(label), "%2.0f%% loss / %2.0f%% corrupt",
                     loss * 100, corrupt * 100);
@@ -74,11 +82,11 @@ bool print_table() {
   // twice (serial and wide), plus a mid-protocol full-fleet failover.
   auto cfg = campaign_config(1024, 0.20, 0.05);
   cfg.threads = 1;
-  const auto serial = engine::run_chaos_campaign(cfg);
+  const auto serial = run_campaign(cfg);
   cfg.threads = 0;
-  const auto wide = engine::run_chaos_campaign(cfg);
+  const auto wide = run_campaign(cfg);
   cfg.failover_at = 200;
-  const auto failover = engine::run_chaos_campaign(cfg);
+  const auto failover = run_campaign(cfg);
 
   std::printf("\n  acceptance drill (%zu sessions, 20%% loss, 5%% corrupt,"
               " reorder+dup on):\n", serial.sessions);
@@ -121,7 +129,7 @@ void BM_ChaosCampaign(benchmark::State& state) {
   auto cfg = campaign_config(sessions, loss, loss / 4.0);
   std::size_t completed = 0;
   for (auto _ : state) {
-    const auto r = engine::run_chaos_campaign(cfg);
+    const auto r = run_campaign(cfg);
     completed += r.completed;
     benchmark::DoNotOptimize(r.digest);
   }

@@ -72,7 +72,7 @@ class BigUInt {
         if (seen) s.push_back(kDigits[d]);
       }
     }
-    if (!seen) s = "0";
+    if (!seen) s.push_back('0');
     return s;
   }
 

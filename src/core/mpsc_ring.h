@@ -23,18 +23,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
 namespace medsec::core {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
+/// Fixed, not std::hardware_destructive_interference_size: that value
+/// varies with compiler version and -mtune, and this constant sets the
+/// layout of every ring.
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 inline constexpr std::size_t ceil_pow2(std::size_t n) {
   std::size_t p = 1;

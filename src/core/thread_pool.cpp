@@ -25,26 +25,13 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::submit(std::function<void()> fn) {
+void ThreadPool::submit(std::function<void()> fn) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return false;
+    if (stop_) return;
     queue_.push_back(std::move(fn));
   }
   work_cv_.notify_one();
-  return true;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-bool ThreadPool::wait_idle_for(std::chrono::milliseconds budget) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return idle_cv_.wait_for(lock, budget, [this] {
-    return queue_.empty() && in_flight_ == 0;
-  });
 }
 
 void ThreadPool::worker_loop() {
@@ -56,14 +43,8 @@ void ThreadPool::worker_loop() {
       if (stop_) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     task();
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-    }
-    idle_cv_.notify_all();
   }
 }
 

@@ -124,7 +124,7 @@ void run_lane_kernels(const LaneCombo& combo, const std::uint8_t* secret,
     ts.tick(1);
   }
   const Gf163 r = out.get(0) + a.get(n - 1);
-  g_sink ^= r.limb(0) ^ r.limb(1) ^ r.limb(2);
+  g_sink = g_sink ^ r.limb(0) ^ r.limb(1) ^ r.limb(2);
 }
 
 CtTarget make_lane_target(gf2m::Backend be, gf2m::LaneBackend lb) {

@@ -146,8 +146,7 @@ class Tainted {
   // on small cores, so that form records a violation. --
   friend Tainted operator<<(Tainted a, unsigned s) { return {T(a.v_ << s)}; }
   friend Tainted operator>>(Tainted a, unsigned s) { return {T(a.v_ >> s)}; }
-  friend Tainted operator<<(Tainted a, Tainted<unsigned> s);
-  friend Tainted operator>>(Tainted a, Tainted<unsigned> s);
+  // (the tainted-amount forms are the templates after the class)
 
   // -- variable-latency op classes: recorded at use --
   friend Tainted operator/(Tainted a, Tainted b) {

@@ -22,7 +22,7 @@
 //     never hide behind its batch, and an honest session can never be
 //     rejected because of one.
 //
-// SchnorrBatchVerifier is the thread-safe queue the FleetServer drains:
+// SchnorrBatchVerifier is the thread-safe queue each shard drains:
 // sessions enqueue their (still wire-encoded) transcripts plus a
 // completion callback; the queue flushes at batch_size.
 #pragma once

@@ -1,15 +1,15 @@
-// campaign_fixtures.h — the chaos campaign's deterministic world-building
-// kit, shared between the PR 6 single-queue campaign (gateway.cpp) and the
-// sharded engine's hash-partitioned campaign (shard.cpp).
+// campaign_fixtures.h — the deterministic world-building kit shared by the
+// sharded chaos campaign (shard.cpp), the fault drill (fault_drill.cpp)
+// and the wire-to-verdict benchmark.
 //
-// The determinism contract both campaigns rely on: every per-session
+// The determinism contract the campaign relies on: every per-session
 // object (device machine, server machine, link fault schedule, delivery
 // jitter) is seeded by a pure function of (campaign seed, global session
 // id). That makes a session's outcome independent of which shard hosts it
 // and which sessions it shares an EventQueue with — the property the
 // shard-count-invariance suite pins. Anything here that changes seed
-// derivation, the protocol mix, or the outcome digest breaks bit-identity
-// with recorded PR 6 digests; change with intent.
+// derivation, the protocol mix, or the outcome digest breaks the golden
+// campaign and fault-drill digests; change with intent.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +58,11 @@ struct Fixtures {
   std::vector<std::uint8_t> telemetry;
 };
 
+/// Build the fixture set on `curve` from one Xoshiro256 stream seeded
+/// with `rng_seed` as is (no mixing).
+Fixtures make_fixtures(const ecc::Curve& curve, std::uint64_t rng_seed);
+/// The chaos campaign's fixtures: K-163, stream seeded by
+/// mix_seed(seed, 0xF177).
 Fixtures make_fixtures(std::uint64_t seed);
 
 using MachineFactory =
@@ -90,7 +95,7 @@ struct SessionOutcome {
 };
 
 /// Fold one outcome into the running campaign digest (FNV-1a, session
-/// order). Both campaigns must fold identically or bit-identity dies.
+/// order). Changing the fold changes every pinned campaign digest.
 inline std::uint64_t digest_outcome(std::uint64_t digest,
                                     const SessionOutcome& o) {
   digest = fnv1a(digest, o.id);

@@ -1,18 +1,10 @@
 #include "engine/gateway.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "ciphers/aes128.h"
-#include "core/thread_pool.h"
 #include "engine/campaign_fixtures.h"
-#include "protocol/ecies.h"
-#include "protocol/mutual_auth.h"
-#include "protocol/peeters_hermans.h"
-#include "protocol/schnorr.h"
 #include "protocol/snapshot.h"
-#include "protocol/wire.h"
 
 namespace medsec::engine {
 
@@ -365,349 +357,6 @@ void DeviceEndpoint::pump(StepResult r) {
     endpoint_.send_message(out.label, std::move(out.payload));
   if (r.state == SessionState::kDone && done_at_ == 0)
     done_at_ = queue_->now();
-}
-
-// --- chaos campaign ----------------------------------------------------------
-
-// World-building kit shared with the sharded campaign (shard.cpp); see
-// campaign_fixtures.h for the determinism contract.
-namespace campaign {
-
-Fixtures make_fixtures(std::uint64_t seed) {
-  const ecc::Curve& curve = ecc::Curve::k163();
-  rng::Xoshiro256 rng(mix_seed(seed, 0xF177));
-  Fixtures fx{curve,
-              protocol::schnorr_keygen(curve, rng),
-              protocol::ph_setup_reader(curve, rng),
-              {},
-              {},
-              [](std::span<const std::uint8_t> key) {
-                return std::unique_ptr<ciphers::BlockCipher>(
-                    new ciphers::Aes128(key));
-              },
-              {},
-              {}};
-  fx.ph_tag = protocol::ph_register_tag(curve, fx.ph_reader, rng);
-  std::vector<std::uint8_t> master(32);
-  rng.fill(master);
-  fx.keys = protocol::derive_session_keys(master, 16);
-  fx.ecies_key = protocol::ecies_keygen(curve, rng);
-  fx.telemetry.resize(48);
-  rng.fill(fx.telemetry);
-  return fx;
-}
-
-/// The protocol mix: session gid runs protocol gid % 4.
-MachineFactory device_factory(const Fixtures& fx, std::uint64_t gid) {
-  switch (gid % 4) {
-    case 0:
-      return [&fx](rng::RandomSource& r) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::SchnorrProver(fx.curve, fx.schnorr_key, r));
-      };
-    case 1:
-      return [&fx](rng::RandomSource& r) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::PhTagMachine(fx.curve, fx.ph_tag, r));
-      };
-    case 2:
-      return [&fx](rng::RandomSource& r) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::MutualAuthTag(fx.make_cipher, fx.keys,
-                                        fx.telemetry, r));
-      };
-    default:
-      return [&fx](rng::RandomSource& r) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::EciesUploader(fx.curve, fx.ecies_key.Y,
-                                        fx.telemetry, fx.make_cipher, 16,
-                                        r));
-      };
-  }
-}
-
-MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
-                              bool deferred_schnorr) {
-  switch (gid % 4) {
-    case 0:
-      return [&fx, deferred_schnorr](rng::RandomSource& r) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::SchnorrVerifier(
-                fx.curve, fx.schnorr_key.X, r,
-                deferred_schnorr
-                    ? protocol::SchnorrVerifier::Mode::kDeferred
-                    : protocol::SchnorrVerifier::Mode::kInline));
-      };
-    case 1:
-      return [&fx](rng::RandomSource& r) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::PhReaderMachine(fx.curve, fx.ph_reader, r));
-      };
-    case 2:
-      return [&fx](rng::RandomSource& r) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::MutualAuthServer(fx.make_cipher, fx.keys, r));
-      };
-    default:
-      return [&fx](rng::RandomSource&) {
-        return std::unique_ptr<protocol::SessionMachine>(
-            new protocol::EciesReceiver(fx.curve, fx.ecies_key.y,
-                                        fx.make_cipher, 16));
-      };
-  }
-}
-
-GatewayServer::Judge judge_for(std::uint64_t gid) {
-  switch (gid % 4) {
-    case 0:
-      return [](const protocol::SessionMachine& m) {
-        return static_cast<const protocol::SchnorrVerifier&>(m).accepted();
-      };
-    case 1:
-      return [](const protocol::SessionMachine& m) {
-        return static_cast<const protocol::PhReaderMachine&>(m)
-            .identity()
-            .has_value();
-      };
-    case 2:
-      return [](const protocol::SessionMachine& m) {
-        const auto& s = static_cast<const protocol::MutualAuthServer&>(m);
-        return s.accepted_tag() && s.telemetry_delivered();
-      };
-    default:
-      return [](const protocol::SessionMachine& m) {
-        return static_cast<const protocol::EciesReceiver&>(m).delivered();
-      };
-  }
-}
-
-}  // namespace campaign
-
-namespace {
-
-using campaign::Fixtures;
-using campaign::MachineFactory;
-using campaign::SessionOutcome;
-using campaign::device_factory;
-using campaign::judge_for;
-using campaign::server_factory;
-
-struct ShardResult {
-  std::vector<SessionOutcome> outcomes;
-  GatewayStats gateway;
-  LinkStats link;  ///< both directions summed
-  std::uint64_t retransmits = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t dup_suppressed = 0;
-  std::uint64_t frames_sent = 0;
-};
-
-ShardResult run_shard(const ChaosCampaignConfig& cfg, const Fixtures& fx,
-                      std::size_t begin, std::size_t end) {
-  const std::size_t count = end - begin;
-  core::EventQueue q;
-  GatewayConfig gcfg;
-  gcfg.delivery = cfg.delivery;
-  gcfg.session_deadline = cfg.session_deadline;
-  gcfg.idle_timeout = cfg.idle_timeout;
-  auto gw = std::make_unique<GatewayServer>(q, mix_seed(cfg.seed, 0x6A7E),
-                                            gcfg);
-
-  std::vector<std::unique_ptr<rng::Xoshiro256>> dev_rngs(count);
-  std::vector<std::unique_ptr<protocol::SessionMachine>> dev_machines(count);
-  std::vector<std::unique_ptr<LossyLink>> links(count);
-  std::vector<std::unique_ptr<DeviceEndpoint>> devices(count);
-  std::vector<MachineFactory> srv_factories(count);
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t gid = begin + i + 1;
-    dev_rngs[i] =
-        std::make_unique<rng::Xoshiro256>(mix_seed(cfg.seed, gid * 4));
-    auto srv_rng =
-        std::make_unique<rng::Xoshiro256>(mix_seed(cfg.seed, gid * 4 + 1));
-    dev_machines[i] = device_factory(fx, gid)(*dev_rngs[i]);
-    srv_factories[i] = server_factory(fx, gid);
-    auto srv_machine = srv_factories[i](*srv_rng);
-    links[i] = std::make_unique<LossyLink>(
-        q, mix_seed(cfg.seed, gid * 4 + 2), cfg.uplink, cfg.downlink);
-    devices[i] = std::make_unique<DeviceEndpoint>(q, gid, cfg.seed,
-                                                  *dev_machines[i],
-                                                  cfg.delivery);
-    LossyLink* link = links[i].get();
-    DeviceEndpoint* dev = devices[i].get();
-    dev->set_uplink([link](std::vector<std::uint8_t> bytes) {
-      link->send(LossyLink::kUp, std::move(bytes));
-    });
-    link->set_receiver(LossyLink::kUp,
-                       [&gw, gid](std::vector<std::uint8_t> bytes) {
-                         if (gw) gw->on_uplink(gid, std::move(bytes));
-                       });
-    link->set_receiver(LossyLink::kDown,
-                       [dev](std::vector<std::uint8_t> bytes) {
-                         dev->on_downlink(std::move(bytes));
-                       });
-    gw->open_session(gid, std::move(srv_machine),
-                     [link](std::vector<std::uint8_t> bytes) {
-                       link->send(LossyLink::kDown, std::move(bytes));
-                     },
-                     judge_for(gid), std::move(srv_rng));
-    dev->start();
-  }
-
-  // Verdicts issued before a failover belong to the campaign totals: the
-  // dead node's counters are carried here and summed into the final
-  // accounting (its `restored`/`opened` double-count nothing — the new
-  // node opens no sessions, only restores).
-  GatewayStats pre_failover;
-  if (cfg.failover_at != 0) {
-    q.run_until(cfg.failover_at);
-    // Node death: serialize every session (settled ones still owe the
-    // device retransmits), kill the server, resurrect on a fresh one.
-    std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> snaps;
-    for (const std::uint64_t id : gw->session_ids())
-      snaps.emplace_back(id, gw->snapshot_session(id));
-    pre_failover = gw->stats();
-    gw.reset();  // cancels the dead node's timers
-    gw = std::make_unique<GatewayServer>(q, mix_seed(cfg.seed, 0x6A7E),
-                                         gcfg);
-    for (auto& [id, snap] : snaps) {
-      const std::size_t i = static_cast<std::size_t>(id - 1) - begin;
-      auto srv_rng = std::make_unique<rng::Xoshiro256>(0);  // state loaded
-      auto machine = srv_factories[i](*srv_rng);
-      LossyLink* link = links[i].get();
-      gw->restore_session(id, std::move(machine),
-                          [link](std::vector<std::uint8_t> bytes) {
-                            link->send(LossyLink::kDown, std::move(bytes));
-                          },
-                          snap, judge_for(id), std::move(srv_rng));
-    }
-  }
-
-  while (q.pending() && q.now() < cfg.max_cycles) q.run_next();
-
-  ShardResult out;
-  out.gateway = gw->stats();
-  out.gateway.opened += pre_failover.opened;
-  out.gateway.shed += pre_failover.shed;
-  out.gateway.completed += pre_failover.completed;
-  out.gateway.accepted += pre_failover.accepted;
-  out.gateway.failed += pre_failover.failed;
-  out.gateway.quarantined += pre_failover.quarantined;
-  out.gateway.deadline_evicted += pre_failover.deadline_evicted;
-  out.gateway.idle_evicted += pre_failover.idle_evicted;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t gid = begin + i + 1;
-    SessionOutcome o;
-    o.id = gid;
-    const GatewaySessionStatus st = gw->status(gid);
-    const bool dev_done = devices[i]->done();
-    const bool dev_failed = devices[i]->failed();
-    o.completed = dev_done && st == GatewaySessionStatus::kCompleted;
-    o.accepted = o.completed && gw->accepted(gid);
-    o.failed = !o.completed &&
-               (dev_failed || st != GatewaySessionStatus::kActive);
-    if (o.completed)
-      o.cycle = std::max(devices[i]->done_at(), gw->settled_at(gid));
-    o.retransmits = devices[i]->stats().retransmits;
-    if (const DeliveryStats* ds = gw->delivery_stats(gid)) {
-      o.retransmits += ds->retransmits;
-      out.decode_failures += ds->decode_failures;
-      out.dup_suppressed += ds->dup_suppressed;
-    }
-    out.decode_failures += devices[i]->stats().decode_failures;
-    out.dup_suppressed += devices[i]->stats().dup_suppressed;
-    out.retransmits += o.retransmits;
-    for (const auto dir : {LossyLink::kUp, LossyLink::kDown}) {
-      const LinkStats& ls = links[i]->stats(dir);
-      out.link.sent += ls.sent;
-      out.link.delivered += ls.delivered;
-      out.link.dropped += ls.dropped;
-      out.link.corrupted += ls.corrupted;
-      out.link.duplicated += ls.duplicated;
-      out.link.reordered += ls.reordered;
-      out.link.corrupted_delivered += ls.corrupted_delivered;
-    }
-    out.frames_sent += devices[i]->stats().data_sent +
-                       devices[i]->stats().acks_sent;
-    out.outcomes.push_back(o);
-  }
-  return out;
-}
-
-}  // namespace
-
-ChaosCampaignResult run_chaos_campaign(const ChaosCampaignConfig& config) {
-  ChaosCampaignConfig cfg = config;
-  if (cfg.sessions_per_shard == 0) cfg.sessions_per_shard = 64;
-  const Fixtures fx = campaign::make_fixtures(cfg.seed);
-  const std::size_t shards =
-      (cfg.sessions + cfg.sessions_per_shard - 1) / cfg.sessions_per_shard;
-
-  std::vector<ShardResult> results(shards);
-  const auto work = [&](std::size_t b, std::size_t e) {
-    for (std::size_t s = b; s < e; ++s) {
-      const std::size_t lo = s * cfg.sessions_per_shard;
-      const std::size_t hi =
-          std::min(cfg.sessions, lo + cfg.sessions_per_shard);
-      results[s] = run_shard(cfg, fx, lo, hi);
-    }
-  };
-  std::unique_ptr<core::ThreadPool> owner;
-  core::ThreadPool* pool = core::ThreadPool::for_config(cfg.threads, owner);
-  if (pool != nullptr && shards > 1)
-    pool->parallel_for(shards, 1, work);
-  else
-    work(0, shards);
-
-  // Merge in shard order — the determinism contract.
-  ChaosCampaignResult out;
-  out.sessions = cfg.sessions;
-  std::vector<core::Cycle> latencies;
-  std::uint64_t digest = 0xCBF29CE484222325ULL;
-  for (const ShardResult& r : results) {
-    out.gateway.opened += r.gateway.opened;
-    out.gateway.shed += r.gateway.shed;
-    out.gateway.completed += r.gateway.completed;
-    out.gateway.accepted += r.gateway.accepted;
-    out.gateway.failed += r.gateway.failed;
-    out.gateway.quarantined += r.gateway.quarantined;
-    out.gateway.deadline_evicted += r.gateway.deadline_evicted;
-    out.gateway.idle_evicted += r.gateway.idle_evicted;
-    out.gateway.restored += r.gateway.restored;
-    out.frames_sent += r.link.sent;
-    out.frames_dropped += r.link.dropped;
-    out.frames_corrupted += r.link.corrupted;
-    out.frames_duplicated += r.link.duplicated;
-    out.frames_reordered += r.link.reordered;
-    out.retransmits += r.retransmits;
-    out.decode_failures += r.decode_failures;
-    out.dup_suppressed += r.dup_suppressed;
-    // Every corrupted delivery must surface as a decode failure; any gap
-    // means a mangled frame got past the CRC into a machine.
-    out.corrupt_accepted += r.link.corrupted_delivered;
-    for (const SessionOutcome& o : r.outcomes) {
-      if (o.completed) {
-        ++out.completed;
-        latencies.push_back(o.cycle);
-      }
-      if (o.accepted) ++out.accepted;
-      if (o.failed) ++out.failed;
-      if (!o.completed && !o.failed) ++out.stuck;
-      digest = campaign::digest_outcome(digest, o);
-    }
-  }
-  out.corrupt_accepted = out.corrupt_accepted > out.decode_failures
-                             ? out.corrupt_accepted - out.decode_failures
-                             : 0;
-  out.digest = digest;
-  std::sort(latencies.begin(), latencies.end());
-  if (!latencies.empty()) {
-    out.latency_p50 = latencies[latencies.size() / 2];
-    out.latency_p99 = latencies[std::min(latencies.size() - 1,
-                                         latencies.size() * 99 / 100)];
-    out.latency_max = latencies.back();
-  }
-  return out;
 }
 
 }  // namespace medsec::engine

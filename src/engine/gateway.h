@@ -20,10 +20,9 @@
 //     resumed on a fresh GatewayServer, surviving node death with nothing
 //     but a retransmit visible to the device.
 //
-// run_chaos_campaign() is the proof harness: a sharded fleet of device ↔
-// gateway sessions over seeded LossyLinks, bit-reproducible across reruns
-// and thread counts (fixed shard geometry, results merged in shard order —
-// the PR 3 determinism contract).
+// The chaos campaign types below belong to run_sharded_campaign()
+// (shard.h), the proof harness: device ↔ gateway sessions over seeded
+// LossyLinks, bit-reproducible across reruns, shard and thread counts.
 #pragma once
 
 #include <cstdint>
@@ -226,12 +225,12 @@ class DeviceEndpoint {
 
 // --- chaos campaign ----------------------------------------------------------
 
+/// The campaign knobs of run_sharded_campaign (shard.h). Output is
+/// bit-identical for any shard count and any `threads`.
 struct ChaosCampaignConfig {
   std::size_t sessions = 256;
-  /// Fixed shard geometry — the determinism contract. Results are merged
-  /// in shard order, so output is bit-identical for any thread count.
-  std::size_t sessions_per_shard = 64;
-  /// parallel_for fan-out: 0 = shared pool, 1 = serial, n = n runners.
+  /// parallel_for fan-out over shard worlds: 0 = shared pool, 1 = serial,
+  /// n = n runners.
   std::size_t threads = 0;
   std::uint64_t seed = 0xC4A05CA7;
   FaultProfile uplink;
@@ -274,10 +273,5 @@ struct ChaosCampaignResult {
   /// are bit-identical iff their digests match.
   std::uint64_t digest = 0;
 };
-
-/// Run a seeded chaos campaign: `sessions` device↔gateway sessions (mixed
-/// Schnorr / Peeters–Hermans / mutual-auth / ECIES), each over its own
-/// seeded LossyLink, sharded into independent virtual worlds.
-ChaosCampaignResult run_chaos_campaign(const ChaosCampaignConfig& config);
 
 }  // namespace medsec::engine

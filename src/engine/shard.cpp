@@ -228,16 +228,14 @@ struct WorldResult {
   BatchVerifierStats verifier;
 };
 
-/// One shard's virtual world: the PR 6 run_shard construction verbatim
-/// (per-gid seeds, failover drill, outcome extraction), except that the
-/// session list is an arbitrary gid set (hash partition, not a contiguous
-/// range) and gid%4==0 Schnorr verdicts are deferred through a per-shard
-/// SchnorrBatchVerifier instead of the inline judge. Deferred mode emits
-/// identical wire traffic and consumes identical rng (the challenge draw),
-/// and the batch verifier is verdict-equivalent (honest transcripts always
-/// pass; a failing batch falls back per item), so every per-session
-/// outcome — and therefore the campaign digest — is bit-identical to the
-/// inline path.
+/// One shard's virtual world over an arbitrary gid set (a hash partition):
+/// per-gid seeds, the failover drill and outcome extraction, with gid%4==0
+/// Schnorr verdicts deferred through a per-shard SchnorrBatchVerifier.
+/// Deferred mode emits identical wire traffic and consumes identical rng
+/// (the challenge draw) to the inline verifier, and the batch verifier is
+/// verdict-equivalent (honest transcripts always pass; a failing batch
+/// falls back per item), so every per-session outcome — and therefore the
+/// campaign digest — is independent of the partition.
 WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
                       const std::vector<std::uint64_t>& gids,
                       std::size_t verify_batch) {
@@ -356,7 +354,7 @@ WorldResult run_world(const ChaosCampaignConfig& cfg, const Fixtures& fx,
   out.gateway.idle_evicted += pre_failover.idle_evicted;
   // Deferred judges returned the placeholder `false` at settle, so the
   // gateway never counted their accepts; fold the batch verdicts back in
-  // to keep the summed stats comparable with the inline campaign.
+  // so gateway.accepted counts every accepted session.
   for (const auto& [gid, ok] : verdicts)
     if (ok) ++out.gateway.accepted;
   out.verifier = bv.stats();
@@ -423,9 +421,7 @@ ShardedCampaignResult run_sharded_campaign(
       results[s] = run_world(cfg, fx, parts[s], scfg.verify_batch);
   };
   std::unique_ptr<core::ThreadPool> owner;
-  core::ThreadPool* pool =
-      scfg.parallel ? core::ThreadPool::for_config(cfg.threads, owner)
-                    : nullptr;
+  core::ThreadPool* pool = core::ThreadPool::for_config(cfg.threads, owner);
   if (pool != nullptr && scfg.shards > 1)
     pool->parallel_for(scfg.shards, 1, work);
   else
@@ -466,8 +462,7 @@ ShardedCampaignResult run_sharded_campaign(
     outcomes.insert(outcomes.end(), r.outcomes.begin(), r.outcomes.end());
   }
   // The hash partition scatters gids across shards; the digest folds in
-  // GLOBAL session order — the same order the contiguous-range campaign
-  // produces naturally — so the two are bit-comparable.
+  // GLOBAL session order, so it does not depend on the partition.
   std::sort(outcomes.begin(), outcomes.end(),
             [](const SessionOutcome& a, const SessionOutcome& b) {
               return a.id < b.id;

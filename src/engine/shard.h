@@ -26,13 +26,12 @@
 // mailbox rings (wait-free), the verifier (internally locked, but only
 // ever touched by its own shard here), and the relaxed stats counters.
 //
-// Deterministic mode: run_sharded_campaign() re-runs the PR 6 chaos
-// campaign with sessions hash-partitioned across N shard worlds and
-// Schnorr verdicts deferred to the per-shard batch verifiers. Because
-// every per-session seed is a pure function of (campaign seed, global
-// session id) — see campaign_fixtures.h — its outcome digest is
-// bit-identical to engine::run_chaos_campaign at ANY shard count; the
-// shard suite pins that.
+// Deterministic mode: run_sharded_campaign() is the chaos campaign, with
+// sessions hash-partitioned across N shard worlds and Schnorr verdicts
+// deferred to the per-shard batch verifiers. Because every per-session
+// seed is a pure function of (campaign seed, global session id) — see
+// campaign_fixtures.h — its outcome digest is the same at ANY shard and
+// thread count; the shard suite pins it to a golden value.
 #pragma once
 
 #include <atomic>
@@ -266,28 +265,26 @@ class ShardFleet {
 // --- deterministic sharded campaign ------------------------------------------
 
 struct ShardedCampaignConfig {
-  /// The PR 6 campaign knobs — seeds, fault profiles, deadlines. Its
-  /// sessions_per_shard/threads fields are ignored here; partitioning is
-  /// by shard_of(gid, shards) instead of contiguous ranges.
+  /// The campaign knobs — seeds, fault profiles, deadlines, and the
+  /// `threads` fan-out over shard worlds (1 = serial; bit-identical at
+  /// any value). Sessions are placed by shard_of(gid, shards).
   ChaosCampaignConfig chaos;
   std::size_t shards = 4;
   /// Per-shard deferred-Schnorr batch size.
   std::size_t verify_batch = 64;
-  /// Run shard worlds on one thread each (true) or serially (false) —
-  /// bit-identical either way.
-  bool parallel = true;
 };
 
 struct ShardedCampaignResult {
-  ChaosCampaignResult chaos;     ///< same digest semantics as PR 6
+  ChaosCampaignResult chaos;
   BatchVerifierStats verifier;   ///< summed across shards
   std::size_t shards = 0;
 };
 
-/// The PR 6 chaos campaign over the sharded engine: sessions hash-
-/// partitioned across `shards` deterministic worlds, gid%4==0 Schnorr
-/// verdicts deferred through per-shard batch verifiers. Digest is
-/// bit-identical to run_chaos_campaign(config.chaos) at any shard count.
+/// Run a seeded chaos campaign: `sessions` device↔gateway sessions (mixed
+/// Schnorr / Peeters–Hermans / mutual-auth / ECIES), each over its own
+/// seeded LossyLink, hash-partitioned across `shards` deterministic
+/// worlds, gid%4==0 Schnorr verdicts deferred through per-shard batch
+/// verifiers. The digest is the same at any shard and thread count.
 ShardedCampaignResult run_sharded_campaign(
     const ShardedCampaignConfig& config);
 

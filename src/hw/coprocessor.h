@@ -138,7 +138,7 @@ struct SecureConfig {
 
 struct CoprocessorConfig {
   std::size_t digit_size = 4;   ///< the paper's chosen MALU width
-  SecureConfig secure;
+  SecureConfig secure{};
   Technology tech = Technology::umc130();
   /// Keep per-cycle records on the sink-less point_mult/execute calls
   /// (needed by record consumers; the energy summary is available either

@@ -38,15 +38,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i)
-    ASSERT_TRUE(pool.submit([&] { done.fetch_add(1); }));
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-}
-
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> total{0};

@@ -1,14 +1,12 @@
 // test_faults.cpp — the fault-attack adversary subsystem, bottom to top:
 // the seeded injector, the co-processor's fault physics, the guarded
 // victim's detectors, the session recovery loop, the eval-matrix fault
-// verdicts, the TRNG health gate, fleet quarantine under concurrency, and
-// the end-to-end fault drill with its golden digest.
+// verdicts, the TRNG health gate, and the end-to-end fault drill (device
+// quarantine included) with its golden digests.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/secure_processor.h"
@@ -16,10 +14,8 @@
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
 #include "engine/fault_drill.h"
-#include "engine/fleet_server.h"
 #include "hw/coprocessor.h"
 #include "hw/fault_injector.h"
-#include "protocol/schnorr.h"
 #include "rng/trng_model.h"
 #include "rng/xoshiro.h"
 #include "sidechannel/countermeasures.h"
@@ -35,7 +31,6 @@ using medsec::rng::Xoshiro256;
 namespace core = medsec::core;
 namespace engine = medsec::engine;
 namespace hw = medsec::hw;
-namespace proto = medsec::protocol;
 namespace rng = medsec::rng;
 namespace sc = medsec::sidechannel;
 
@@ -538,55 +533,6 @@ TEST(TrngHealth, HardenedLadderRefusesBlindsFromFailedSource) {
                    c, sc::CountermeasureConfig::full(), Scalar{12345},
                    c.base_point(), gated, pair2, pair_key2),
                std::runtime_error);
-}
-
-// --- fleet quarantine under concurrency --------------------------------------
-
-TEST(FleetQuarantine, ConcurrentTelemetryQuarantinesFaultingDevice) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(9);
-  engine::FleetConfig cfg;
-  cfg.worker_threads = 4;
-  cfg.verify_batch = 1;
-  cfg.device_fault_threshold = 3;
-
-  const auto kp_bad = proto::schnorr_keygen(c, rng);
-  const auto kp_good = proto::schnorr_keygen(c, rng);
-  engine::FleetServer server(c, cfg, [](std::uint64_t, const proto::Message&) {});
-  const std::uint32_t bad = server.enroll(kp_bad.X);
-  const std::uint32_t good = server.enroll(kp_good.X);
-
-  // Device `bad` reports unrecovered faults from many front-end threads
-  // at once (each one also opens a fresh session, TSan's favorite
-  // interleaving); device `good` reports recoveries only.
-  std::vector<std::thread> threads;
-  std::atomic<int> opened_after_quarantine{0};
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 4; ++i) {
-        const std::uint64_t sid =
-            server.open_schnorr_session(t % 2 == 0 ? bad : good);
-        if (sid != 0)
-          server.report_fault_telemetry(sid, /*detected=*/1, /*retries=*/1,
-                                        /*unrecovered=*/t % 2 == 0);
-        else
-          ++opened_after_quarantine;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  server.drain();
-
-  EXPECT_TRUE(server.device_quarantined(bad));
-  EXPECT_FALSE(server.device_quarantined(good));
-  EXPECT_EQ(server.open_schnorr_session(bad), 0u);
-  EXPECT_NE(server.open_schnorr_session(good), 0u);
-  const auto st = server.stats();
-  EXPECT_EQ(st.devices_quarantined, 1u);
-  EXPECT_GE(st.faults_unrecovered, cfg.device_fault_threshold);
-  // Refusals only start once the threshold is crossed.
-  EXPECT_EQ(st.sessions_refused_quarantine,
-            static_cast<std::size_t>(opened_after_quarantine) + 1);
 }
 
 // --- the end-to-end fault drill ----------------------------------------------

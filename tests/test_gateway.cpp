@@ -1,22 +1,19 @@
 // Tests for the resilience layer: framed transport + CRC, the seeded
 // LossyLink fault schedule, ARQ delivery, the GatewayServer's degradation
 // policies (shedding, eviction, quarantine), session snapshot/restore
-// failover, the seeded chaos campaign's determinism contract, and the
-// FleetServer's bounded drain.
+// failover, and the seeded chaos campaign's determinism contract.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "ciphers/aes128.h"
 #include "core/event_queue.h"
 #include "ecc/curve.h"
 #include "engine/delivery.h"
-#include "engine/fleet_server.h"
 #include "engine/gateway.h"
+#include "engine/shard.h"
 #include "engine/transport.h"
 #include "protocol/ecies.h"
 #include "protocol/mutual_auth.h"
@@ -64,16 +61,6 @@ class ThrowingMachine final : public proto::SessionMachine {
  public:
   proto::StepResult on_message(const proto::Message&) override {
     throw std::runtime_error("poison");
-  }
-};
-
-/// A machine that stalls its worker — drives the bounded-drain straggler
-/// report.
-class SlowMachine final : public proto::SessionMachine {
- public:
-  proto::StepResult on_message(const proto::Message&) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    return step(proto::StepResult::wait());
   }
 };
 
@@ -772,7 +759,6 @@ TEST(Snapshot, RejectCorpusEveryTruncationAndHeaderFlip) {
 engine::ChaosCampaignConfig chaos_config() {
   engine::ChaosCampaignConfig cfg;
   cfg.sessions = 64;
-  cfg.sessions_per_shard = 16;
   cfg.seed = 0xC4A05;
   cfg.uplink.drop = 0.20;
   cfg.uplink.corrupt = 0.05;
@@ -782,8 +768,16 @@ engine::ChaosCampaignConfig chaos_config() {
   return cfg;
 }
 
+/// The campaign on four shard worlds.
+engine::ChaosCampaignResult run_chaos(const engine::ChaosCampaignConfig& cfg) {
+  engine::ShardedCampaignConfig sc;
+  sc.chaos = cfg;
+  sc.shards = 4;
+  return engine::run_sharded_campaign(sc).chaos;
+}
+
 TEST(ChaosCampaign, AllSessionsCompleteUnderHeavyFaults) {
-  const auto r = engine::run_chaos_campaign(chaos_config());
+  const auto r = run_chaos(chaos_config());
   EXPECT_EQ(r.sessions, 64u);
   EXPECT_EQ(r.completed, 64u);  // 100% completion at 20% loss
   EXPECT_EQ(r.accepted, 64u);   // every verdict accepts honest devices
@@ -802,13 +796,13 @@ TEST(ChaosCampaign, FaultlessRunIsCleanAndCheaper) {
   auto cfg = chaos_config();
   cfg.uplink = {};
   cfg.downlink = {};
-  const auto r = engine::run_chaos_campaign(cfg);
+  const auto r = run_chaos(cfg);
   EXPECT_EQ(r.completed, 64u);
   EXPECT_EQ(r.decode_failures, 0u);
   EXPECT_EQ(r.frames_dropped, 0u);
   EXPECT_EQ(r.corrupt_accepted, 0u);
 
-  const auto faulty = engine::run_chaos_campaign(chaos_config());
+  const auto faulty = run_chaos(chaos_config());
   EXPECT_LT(r.latency_p99, faulty.latency_p99);
   EXPECT_LT(r.frames_sent, faulty.frames_sent);
 }
@@ -816,11 +810,11 @@ TEST(ChaosCampaign, FaultlessRunIsCleanAndCheaper) {
 TEST(ChaosCampaign, DigestIsIdenticalAcrossRerunsAndThreadCounts) {
   auto cfg = chaos_config();
   cfg.threads = 1;
-  const auto serial = engine::run_chaos_campaign(cfg);
+  const auto serial = run_chaos(cfg);
   cfg.threads = 4;
-  const auto wide = engine::run_chaos_campaign(cfg);
+  const auto wide = run_chaos(cfg);
   cfg.threads = 0;
-  const auto pooled = engine::run_chaos_campaign(cfg);
+  const auto pooled = run_chaos(cfg);
   EXPECT_EQ(serial.digest, wide.digest);
   EXPECT_EQ(serial.digest, pooled.digest);
   EXPECT_EQ(serial.completed, wide.completed);
@@ -829,21 +823,20 @@ TEST(ChaosCampaign, DigestIsIdenticalAcrossRerunsAndThreadCounts) {
 
   // And a different seed is a genuinely different campaign.
   cfg.seed ^= 1;
-  const auto other = engine::run_chaos_campaign(cfg);
+  const auto other = run_chaos(cfg);
   EXPECT_NE(serial.digest, other.digest);
 }
 
 TEST(ChaosCampaign, MidProtocolFailoverStillCompletesEverySession) {
   auto cfg = chaos_config();
   cfg.sessions = 32;
-  cfg.sessions_per_shard = 8;
   cfg.failover_at = 200;  // mid-protocol under these delay bands
-  const auto r = engine::run_chaos_campaign(cfg);
+  const auto r = run_chaos(cfg);
   EXPECT_EQ(r.completed, 32u);
   EXPECT_EQ(r.stuck, 0u);
   EXPECT_EQ(r.corrupt_accepted, 0u);
   EXPECT_EQ(r.gateway.restored, 32u);  // every session crossed the failover
-  const auto again = engine::run_chaos_campaign(cfg);
+  const auto again = run_chaos(cfg);
   EXPECT_EQ(r.digest, again.digest);  // failover is inside the contract
 }
 
@@ -895,65 +888,6 @@ TEST(SessionTapFaults, TruncationDropAndDuplicationNeverCrash) {
           << "kind " << kind;
     }
   }
-}
-
-// --- fleet server degradation ------------------------------------------------
-
-TEST(FleetDegradation, BoundedDrainReportsStragglers) {
-  const Curve& c = Curve::k163();
-  engine::FleetConfig fcfg;
-  fcfg.worker_threads = 2;
-  fcfg.deterministic = true;
-  engine::FleetServer fleet(c, fcfg, {});
-  const std::uint64_t slow = fleet.open_session(
-      std::make_unique<SlowMachine>());
-  ASSERT_NE(slow, 0u);
-  fleet.deliver(slow, proto::Message{"stall", {1}});
-  // The worker is parked in SlowMachine::on_message for ~200ms; a 5ms
-  // budget must expire and name the session instead of hanging.
-  const auto report = fleet.drain_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(report.completed);
-  EXPECT_EQ(report.stragglers, std::vector<std::uint64_t>{slow});
-  fleet.drain();  // full quiescence for teardown
-  const auto after = fleet.drain_for(std::chrono::milliseconds(100));
-  EXPECT_TRUE(after.completed);
-  EXPECT_TRUE(after.stragglers.empty());
-}
-
-TEST(FleetDegradation, AdmissionControlShedsNewSessions) {
-  const Curve& c = Curve::k163();
-  engine::FleetConfig fcfg;
-  fcfg.worker_threads = 1;
-  fcfg.deterministic = true;
-  fcfg.max_live_sessions = 2;
-  engine::FleetServer fleet(c, fcfg, {});
-  EXPECT_NE(fleet.open_session(std::make_unique<SlowMachine>()), 0u);
-  EXPECT_NE(fleet.open_session(std::make_unique<SlowMachine>()), 0u);
-  EXPECT_EQ(fleet.open_session(std::make_unique<SlowMachine>()), 0u);
-  Xoshiro256 rng(8);
-  const auto kp = proto::schnorr_keygen(c, rng);
-  fleet.enroll(kp.X);
-  EXPECT_EQ(fleet.open_schnorr_session(0), 0u);  // both open_* paths shed
-  EXPECT_EQ(fleet.stats().sessions_shed, 2u);
-  EXPECT_EQ(fleet.stats().sessions_opened, 2u);
-}
-
-TEST(FleetDegradation, ThrowingMachineIsQuarantinedNotFatal) {
-  const Curve& c = Curve::k163();
-  engine::FleetConfig fcfg;
-  fcfg.worker_threads = 2;
-  fcfg.deterministic = true;
-  engine::FleetServer fleet(c, fcfg, {});
-  const std::uint64_t poison =
-      fleet.open_session(std::make_unique<ThrowingMachine>());
-  ASSERT_NE(poison, 0u);
-  fleet.deliver(poison, proto::Message{"boom", {1}});
-  fleet.drain();
-  const auto rec = fleet.record(poison);
-  EXPECT_TRUE(rec.completed);
-  EXPECT_FALSE(rec.accepted);
-  EXPECT_EQ(fleet.stats().sessions_quarantined, 1u);
-  EXPECT_EQ(fleet.stats().sessions_completed, 1u);
 }
 
 }  // namespace

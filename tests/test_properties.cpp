@@ -342,8 +342,9 @@ TEST(ReduceFold, AllVariantsAgreeOn10kSeededInputs) {
 #if MEDSEC_ARCH_X86_64
     if (gf::cpu::has_avx2()) {
       ASSERT_EQ(via_x4_fold(p, iter % 4), want) << "iter " << iter;
-      if (gf::cpu::has_avx512())
+      if (gf::cpu::has_avx512()) {
         ASSERT_EQ(via_x8_fold(p, iter % 8), want) << "iter " << iter;
+      }
     }
 #endif
   }
