@@ -2,8 +2,8 @@
 // for everything above them (no paper table; supporting data for
 // EXPERIMENTS.md's runtime notes).
 //
-// The Gf163 benchmarks run once per arithmetic backend (portable /
-// karatsuba / clmul when the CPU has a hardware carry-less multiply);
+// The Gf163 benchmarks run once per arithmetic backend (portable, and
+// clmul when the CPU has a hardware carry-less multiply);
 // unavailable backends report "unavailable" and are skipped. Unless the
 // caller passes its own --benchmark_out, the run also emits
 // BENCH_field_ops.json (google-benchmark's JSON schema) next to the
@@ -52,7 +52,7 @@ bool use_backend(benchmark::State& state) {
 }
 
 #define MEDSEC_BENCH_BACKENDS(fn) \
-  BENCHMARK(fn)->Arg(0)->Arg(1)->Arg(2)->ArgName("backend")
+  BENCHMARK(fn)->Arg(0)->Arg(1)->ArgName("backend")
 
 void BM_Gf163Mul(benchmark::State& state) {
   if (!use_backend(state)) return;
@@ -223,9 +223,8 @@ Gf163xN rand_lanes(rng::Xoshiro256& rng, std::size_t n) {
   return v;
 }
 
-#define MEDSEC_BENCH_LANE_BACKENDS(fn)                         \
-  BENCHMARK(fn)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)\
-      ->ArgName("lane_backend")
+#define MEDSEC_BENCH_LANE_BACKENDS(fn) \
+  BENCHMARK(fn)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->ArgName("lane_backend")
 
 void BM_LaneMul(benchmark::State& state) {
   if (!use_lane_backend(state)) return;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "gf2m/clmul.h"
@@ -13,26 +12,7 @@ namespace medsec::gf2m {
 
 namespace {
 
-// --- portable schoolbook (the seed reference path) --------------------------
-
-void mul326_portable(const std::uint64_t a[3], const std::uint64_t b[3],
-                     std::uint64_t p[6]) {
-  p[0] = p[1] = p[2] = p[3] = p[4] = p[5] = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      std::uint64_t lo = 0, hi = 0;
-      clmul64(a[i], b[j], lo, hi);
-      p[i + j] ^= lo;
-      p[i + j + 1] ^= hi;
-    }
-  }
-}
-
-void sqr326_portable(const std::uint64_t a[3], std::uint64_t p[6]) {
-  for (std::size_t i = 0; i < 3; ++i) clsqr64(a[i], p[2 * i], p[2 * i + 1]);
-}
-
-// --- portable Karatsuba: 6 emulated clmuls instead of 9 ---------------------
+// --- portable: Karatsuba over the emulated clmul (6 products, not 9) -------
 //
 // With a = a0 + a1 X + a2 X^2 (X = x^64) and the six products
 //   d_i  = a_i b_i,   e_ij = (a_i + a_j)(b_i + b_j)
@@ -44,8 +24,8 @@ void sqr326_portable(const std::uint64_t a[3], std::uint64_t p[6]) {
 //   c4 = d2
 // (characteristic 2: additions are XOR, no carries anywhere).
 
-void mul326_karatsuba(const std::uint64_t a[3], const std::uint64_t b[3],
-                      std::uint64_t p[6]) {
+void mul326_portable(const std::uint64_t a[3], const std::uint64_t b[3],
+                     std::uint64_t p[6]) {
   std::uint64_t d0l, d0h, d1l, d1h, d2l, d2h;
   std::uint64_t e01l, e01h, e02l, e02h, e12l, e12h;
   clmul64(a[0], b[0], d0l, d0h);
@@ -68,6 +48,10 @@ void mul326_karatsuba(const std::uint64_t a[3], const std::uint64_t b[3],
   p[5] = d2h;
 }
 
+void sqr326_portable(const std::uint64_t a[3], std::uint64_t p[6]) {
+  for (std::size_t i = 0; i < 3; ++i) clsqr64(a[i], p[2 * i], p[2 * i + 1]);
+}
+
 // --- hardware carry-less multiply (kernels shared via clmul_hw.h) -----------
 
 #if MEDSEC_ARCH_X86_64 || MEDSEC_ARCH_AARCH64
@@ -84,8 +68,6 @@ void sqr326_clmul(const std::uint64_t a[3], std::uint64_t p[6]) {
 
 constexpr BackendVTable kPortableVTable{Backend::kPortable, "portable",
                                         &mul326_portable, &sqr326_portable};
-constexpr BackendVTable kKaratsubaVTable{Backend::kKaratsuba, "karatsuba",
-                                         &mul326_karatsuba, &sqr326_portable};
 #if MEDSEC_ARCH_X86_64 || MEDSEC_ARCH_AARCH64
 constexpr BackendVTable kClmulVTable{Backend::kClmul, "clmul", &mul326_clmul,
                                      &sqr326_clmul};
@@ -95,8 +77,6 @@ const BackendVTable* vtable_for(Backend b) {
   switch (b) {
     case Backend::kPortable:
       return &kPortableVTable;
-    case Backend::kKaratsuba:
-      return &kKaratsubaVTable;
     case Backend::kClmul:
 #if MEDSEC_ARCH_X86_64 || MEDSEC_ARCH_AARCH64
       if (hwclmul::clmul_supported()) return &kClmulVTable;
@@ -133,7 +113,7 @@ const BackendVTable* default_vtable() {
     }
   }
   if (const BackendVTable* t = vtable_for(Backend::kClmul)) return t;
-  return &kKaratsubaVTable;
+  return &kPortableVTable;
 }
 
 std::atomic<const BackendVTable*>& dispatch_slot() {
@@ -143,9 +123,9 @@ std::atomic<const BackendVTable*>& dispatch_slot() {
 
 // --- lane dispatch ----------------------------------------------------------
 //
-// The lane vtables themselves live in lanes.cpp (they pull in the bitsliced
-// and interleaved-clmul kernels); this translation unit owns the selection
-// policy so the scalar and wide registries stay one subsystem.
+// The lane vtables themselves live in lanes.cpp (they pull in the
+// interleaved-clmul and VPCLMULQDQ kernels); this translation unit owns the
+// selection policy so the scalar and wide registries stay one subsystem.
 
 /// Lane backend pinned by set_lane_backend / MEDSEC_GF2M_LANES, or null
 /// for automatic (follow the scalar backend).
@@ -197,8 +177,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kPortable:
       return "portable";
-    case Backend::kKaratsuba:
-      return "karatsuba";
     case Backend::kClmul:
       return "clmul";
   }
@@ -215,23 +193,17 @@ bool set_backend(Backend b) {
 }
 
 std::vector<Backend> known_backends() {
-  return {Backend::kClmul, Backend::kKaratsuba, Backend::kPortable};
+  return {Backend::kClmul, Backend::kPortable};
 }
 
 const BackendVTable* backend_vtable(Backend b) { return vtable_for(b); }
 
 bool backend_from_name(std::string_view name, Backend& out) {
-  if (name == "portable") {
-    out = Backend::kPortable;
-    return true;
-  }
-  if (name == "karatsuba") {
-    out = Backend::kKaratsuba;
-    return true;
-  }
-  if (name == "clmul" || name == "pclmul" || name == "pmull" || name == "hw") {
-    out = Backend::kClmul;
-    return true;
+  for (const Backend b : known_backends()) {
+    if (name == backend_name(b)) {
+      out = b;
+      return true;
+    }
   }
   return false;
 }
@@ -239,7 +211,6 @@ bool backend_from_name(std::string_view name, Backend& out) {
 const char* backend_requirement(Backend b) {
   switch (b) {
     case Backend::kPortable:
-    case Backend::kKaratsuba:
       return "nothing (portable C++)";
     case Backend::kClmul:
       return "PCLMULQDQ (x86-64) / PMULL (AArch64)";
@@ -251,44 +222,24 @@ const char* lane_backend_name(LaneBackend b) {
   switch (b) {
     case LaneBackend::kLaneScalar:
       return "scalar";
-    case LaneBackend::kLaneBitsliced:
-      return "bitsliced";
     case LaneBackend::kLaneClmulWide:
       return "clmulwide";
     case LaneBackend::kLaneVpclmul512:
       return "vpclmul512";
     case LaneBackend::kLaneVpclmul256:
       return "vpclmul256";
-    case LaneBackend::kLaneBitsliced256:
-      return "bitsliced256";
   }
   return "?";
 }
 
 bool lane_backend_from_name(std::string_view name, LaneBackend& out) {
-  if (name == "scalar") {
-    out = LaneBackend::kLaneScalar;
-    return true;
-  }
-  if (name == "bitsliced") {
-    out = LaneBackend::kLaneBitsliced;
-    return true;
-  }
-  if (name == "bitsliced256") {
-    out = LaneBackend::kLaneBitsliced256;
-    return true;
-  }
-  if (name == "clmul" || name == "clmulwide" || name == "wide") {
-    out = LaneBackend::kLaneClmulWide;
-    return true;
-  }
-  if (name == "vpclmul512" || name == "vpclmul" || name == "zmm") {
-    out = LaneBackend::kLaneVpclmul512;
-    return true;
-  }
-  if (name == "vpclmul256" || name == "ymm") {
-    out = LaneBackend::kLaneVpclmul256;
-    return true;
+  // "clmul" names clmulwide here too, matching the EvalConfig lane names.
+  if (name == "clmul") name = lane_backend_name(LaneBackend::kLaneClmulWide);
+  for (const LaneBackend b : known_lane_backends()) {
+    if (name == lane_backend_name(b)) {
+      out = b;
+      return true;
+    }
   }
   return false;
 }
@@ -297,16 +248,12 @@ const char* lane_backend_requirement(LaneBackend b) {
   switch (b) {
     case LaneBackend::kLaneScalar:
       return "nothing (follows the scalar backend)";
-    case LaneBackend::kLaneBitsliced:
-      return "nothing (portable C++)";
     case LaneBackend::kLaneClmulWide:
       return "PCLMULQDQ (x86-64)";
     case LaneBackend::kLaneVpclmul512:
       return "VPCLMULQDQ + AVX-512F/BW/VL";
     case LaneBackend::kLaneVpclmul256:
       return "VPCLMULQDQ + AVX2";
-    case LaneBackend::kLaneBitsliced256:
-      return "AVX2";
   }
   return "?";
 }
@@ -319,22 +266,12 @@ const LaneVTable* active_lane_vtable() {
     return t;
   // Automatic: follow the scalar backend. Hardware clmul gets the widest
   // vector kernel the CPU offers (ZMM mega-lanes > YMM > interleaved
-  // 128-bit); the portable reference path gets the bitsliced one (no ISA
-  // assumptions); karatsuba (a tuning variant of the scalar emulation)
-  // keeps the plain per-lane loop.
-  switch (active_backend()) {
-    case Backend::kClmul:
-      if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneVpclmul512))
-        return t;
-      if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneVpclmul256))
-        return t;
-      if (const LaneVTable* t = lane_vtable(LaneBackend::kLaneClmulWide))
-        return t;
-      break;
-    case Backend::kPortable:
-      return lane_vtable(LaneBackend::kLaneBitsliced);
-    case Backend::kKaratsuba:
-      break;
+  // 128-bit); everything else keeps the plain per-lane loop.
+  if (active_backend() == Backend::kClmul) {
+    for (const LaneBackend b :
+         {LaneBackend::kLaneVpclmul512, LaneBackend::kLaneVpclmul256,
+          LaneBackend::kLaneClmulWide})
+      if (const LaneVTable* t = lane_vtable(b)) return t;
   }
   return lane_vtable(LaneBackend::kLaneScalar);
 }
@@ -353,9 +290,8 @@ void reset_lane_backend() {
 }
 
 std::vector<LaneBackend> known_lane_backends() {
-  return {LaneBackend::kLaneVpclmul512,   LaneBackend::kLaneVpclmul256,
-          LaneBackend::kLaneClmulWide,    LaneBackend::kLaneBitsliced256,
-          LaneBackend::kLaneBitsliced,    LaneBackend::kLaneScalar};
+  return {LaneBackend::kLaneVpclmul512, LaneBackend::kLaneVpclmul256,
+          LaneBackend::kLaneClmulWide, LaneBackend::kLaneScalar};
 }
 
 }  // namespace medsec::gf2m

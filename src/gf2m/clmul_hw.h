@@ -7,7 +7,7 @@
 //
 // The hardware paths use GCC/Clang-only constructs (target attributes,
 // __builtin_cpu_supports), so the gates require those compilers too; other
-// compilers fall back to the portable/karatsuba backends.
+// compilers fall back to the portable backend.
 #pragma once
 
 #include <cstdint>

@@ -33,8 +33,8 @@
 #if MEDSEC_ARCH_X86_64
 
 // vpclmulqdq does not imply the legacy 128-bit feature set for the
-// compiler: pclmul+sse4.1 are listed too so the scalar tail kernels
-// (clmul_hw.h) can inline into the vector loops.
+// compiler: pclmul+sse4.1 are listed too so the interleaved-clmul tail
+// kernels (lanes.cpp) can inline into the vector loops.
 #define MEDSEC_TARGET_VPCLMUL512 \
   __attribute__((                \
       target("vpclmulqdq,avx512f,avx512bw,avx512vl,pclmul,sse4.1")))
@@ -103,7 +103,8 @@ MEDSEC_TARGET_VPCLMUL512 inline void mul326_x8(const Soa512& a,
   const __m512i e12e = _mm512_clmulepi64_epi128(sa12, sb12, 0x00);
   const __m512i e12o = _mm512_clmulepi64_epi128(sa12, sb12, 0x11);
 
-  // Same recombination as mul326_karatsuba, per product half.
+  // Same recombination as the scalar Karatsuba (backend.cpp), per product
+  // half.
   const __m512i d01e = _mm512_xor_si512(d0e, d1e);
   const __m512i d01o = _mm512_xor_si512(d0o, d1o);
   const __m512i c1e = _mm512_xor_si512(e01e, d01e);

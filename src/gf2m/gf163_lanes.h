@@ -4,9 +4,10 @@
 // Gf163xN stores N field elements structure-of-arrays (limb-major), which
 // is the layout every wide backend wants: the interleaved-clmul kernel
 // streams consecutive lanes through independent PCLMULQDQ chains, the
-// bitsliced kernel transposes 64-lane blocks into bit-planes, and
-// per-lane taps (the trace simulator's Hamming-weight probe, the ladder's
-// conditional swaps) index a lane directly without deinterleaving.
+// VPCLMULQDQ kernels load one limb of 8 (or 4) consecutive lanes into one
+// vector register, and per-lane taps (the trace simulator's
+// Hamming-weight probe, the ladder's conditional swaps) index a lane
+// directly without deinterleaving.
 //
 // All arithmetic dispatches through the lane-backend registry in
 // backend.h (MEDSEC_GF2M_LANES / set_lane_backend); results are

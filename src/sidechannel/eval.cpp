@@ -22,6 +22,29 @@ namespace {
 using ecc::Curve;
 using ecc::Scalar;
 
+/// The lane backends an EvalConfig may sweep, by name. validate() and
+/// the sweep resolver both read this one table.
+struct EvalLane {
+  const char* name;
+  gf2m::LaneBackend backend;
+};
+constexpr EvalLane kEvalLanes[] = {
+    {"scalar", gf2m::LaneBackend::kLaneScalar},
+    {"clmul", gf2m::LaneBackend::kLaneClmulWide},
+};
+const EvalLane* find_eval_lane(const std::string& name) {
+  for (const EvalLane& l : kEvalLanes)
+    if (name == l.name) return &l;
+  return nullptr;
+}
+
+std::string eval_lane_names() {
+  std::string out;
+  for (const EvalLane& l : kEvalLanes)
+    out += (out.empty() ? "" : ", ") + std::string(l.name);
+  return out;
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -226,9 +249,9 @@ void EvalConfig::validate() const {
     }
   }
   for (const std::string& name : lane_backends) {
-    if (name != "scalar" && name != "bitsliced" && name != "clmul")
-      fail("unknown lane backend '" + name +
-           "' (known: scalar, bitsliced, clmul)");
+    if (find_eval_lane(name) == nullptr)
+      fail("unknown lane backend '" + name + "' (known: " +
+           eval_lane_names() + ")");
   }
   for (const CountermeasureConfig& cm : countermeasures) {
     if (cm.infective_computation && !cm.detects_faults())
@@ -270,15 +293,9 @@ EvalMatrix run_eval_matrix(const Curve& curve, const Scalar& k,
     lanes.push_back({gf2m::active_lane_backend(),
                      gf2m::lane_backend_name(gf2m::active_lane_backend())});
   } else {
+    // validate() above already rejected names outside kEvalLanes.
     for (const std::string& name : config.lane_backends) {
-      gf2m::LaneBackend b;
-      if (name == "scalar") b = gf2m::LaneBackend::kLaneScalar;
-      else if (name == "bitsliced") b = gf2m::LaneBackend::kLaneBitsliced;
-      else if (name == "clmul") b = gf2m::LaneBackend::kLaneClmulWide;
-      else
-        throw std::invalid_argument("run_eval_matrix: unknown lane backend '" +
-                                    name +
-                                    "' (known: scalar, bitsliced, clmul)");
+      const gf2m::LaneBackend b = find_eval_lane(name)->backend;
       if (gf2m::lane_backend_available(b)) lanes.push_back({b, name});
     }
     if (lanes.empty())

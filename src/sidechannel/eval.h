@@ -57,7 +57,7 @@ struct EvalConfig {
   std::vector<CountermeasureConfig> countermeasures;
   /// Grid columns: the attacks to run against each row.
   std::vector<EvalAttack> attacks;
-  /// Lane backends to sweep by name ("scalar", "bitsliced", "clmul");
+  /// Lane backends to sweep by name ("scalar", "clmul");
   /// empty = just the currently active backend. Unavailable backends are
   /// skipped (recorded nowhere — the matrix only contains real runs).
   std::vector<std::string> lane_backends;
@@ -81,11 +81,11 @@ struct EvalConfig {
 
   /// Fail loudly on an unknown or incoherent grid before any campaign
   /// runs: empty axes, out-of-range budgets, lane backends outside the
-  /// compiled-in set ("scalar", "bitsliced", "clmul" — the PR 7
-  /// MEDSEC_GF2M_BACKEND contract), and countermeasure rows that cannot
-  /// mean anything (infective computation with no detector, zero-width
-  /// or over-wide scalar blinds, shuffling with zero dummies). Throws
-  /// std::invalid_argument naming the offending field and the valid set.
+  /// sweepable set ("scalar", "clmul"), and countermeasure rows that
+  /// cannot mean anything (infective computation with no detector,
+  /// zero-width or over-wide scalar blinds, shuffling with zero dummies).
+  /// Throws std::invalid_argument naming the offending field and the
+  /// valid set.
   void validate() const;
 };
 

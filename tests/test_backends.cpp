@@ -11,6 +11,7 @@
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
 #include "gf2m/backend.h"
+#include "gf2m/clmul.h"
 #include "gf2m/gf2_163.h"
 #include "gf2m/gf2_poly.h"
 #include "hw/digit_serial.h"
@@ -49,31 +50,42 @@ struct BackendGuard {
 
 // --- backend registry --------------------------------------------------------
 
-TEST(Backend, PortableAndKaratsubaAlwaysAvailable) {
+TEST(Backend, PortableAlwaysAvailable) {
   EXPECT_TRUE(medsec::gf2m::backend_available(Backend::kPortable));
-  EXPECT_TRUE(medsec::gf2m::backend_available(Backend::kKaratsuba));
   EXPECT_NE(medsec::gf2m::backend_vtable(Backend::kPortable), nullptr);
-  EXPECT_NE(medsec::gf2m::backend_vtable(Backend::kKaratsuba), nullptr);
 }
 
 TEST(Backend, SetBackendRoundTrips) {
   BackendGuard guard;
   ASSERT_TRUE(medsec::gf2m::set_backend(Backend::kPortable));
   EXPECT_EQ(medsec::gf2m::active_backend(), Backend::kPortable);
-  ASSERT_TRUE(medsec::gf2m::set_backend(Backend::kKaratsuba));
-  EXPECT_EQ(medsec::gf2m::active_backend(), Backend::kKaratsuba);
-  if (!medsec::gf2m::backend_available(Backend::kClmul)) {
+  if (medsec::gf2m::backend_available(Backend::kClmul)) {
+    ASSERT_TRUE(medsec::gf2m::set_backend(Backend::kClmul));
+    EXPECT_EQ(medsec::gf2m::active_backend(), Backend::kClmul);
+  } else {
     EXPECT_FALSE(medsec::gf2m::set_backend(Backend::kClmul));
-    EXPECT_EQ(medsec::gf2m::active_backend(), Backend::kKaratsuba);
+    EXPECT_EQ(medsec::gf2m::active_backend(), Backend::kPortable);
   }
 }
 
-// --- unreduced product: every backend vs the portable reference -------------
+// --- unreduced product: every backend vs a schoolbook oracle ----------------
+
+/// Test-only oracle: the 3x3-limb schoolbook product over the emulated
+/// clmul (nine products, no Karatsuba recombination to get wrong).
+void mul326_schoolbook(const std::uint64_t a[3], const std::uint64_t b[3],
+                       std::uint64_t p[6]) {
+  p[0] = p[1] = p[2] = p[3] = p[4] = p[5] = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      std::uint64_t lo = 0, hi = 0;
+      medsec::gf2m::clmul64(a[i], b[j], lo, hi);
+      p[i + j] ^= lo;
+      p[i + j + 1] ^= hi;
+    }
+  }
+}
 
 TEST(Backend, UnreducedProductCrossCheck10k) {
-  const auto* ref = medsec::gf2m::backend_vtable(Backend::kPortable);
-  ASSERT_NE(ref, nullptr);
-  Xoshiro256 rng(101);
   for (const Backend b : medsec::gf2m::known_backends()) {
     const auto* vt = medsec::gf2m::backend_vtable(b);
     if (vt == nullptr) continue;  // clmul on hardware without it
@@ -85,19 +97,18 @@ TEST(Backend, UnreducedProductCrossCheck10k) {
       a[2] &= 0x7FFFFFFFFULL;
       c[2] &= 0x7FFFFFFFFULL;
       std::uint64_t want[6], got[6];
-      ref->mul(a, c, want);
+      mul326_schoolbook(a, c, want);
       vt->mul(a, c, got);
       for (int i = 0; i < 6; ++i)
         ASSERT_EQ(got[i], want[i])
             << vt->name << " mul word " << i << " iter " << iter;
       std::uint64_t sq_want[6], sq_got[6];
-      ref->mul(a, a, sq_want);
+      mul326_schoolbook(a, a, sq_want);
       vt->sqr(a, sq_got);
       for (int i = 0; i < 6; ++i)
         ASSERT_EQ(sq_got[i], sq_want[i])
             << vt->name << " sqr word " << i << " iter " << iter;
     }
-    (void)rng;
   }
 }
 
