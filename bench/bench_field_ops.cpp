@@ -18,8 +18,8 @@
 #include "ctaudit/audit.h"
 #include "ecc/curve.h"
 #include "ecc/fixed_base.h"
-#include "ecc/koblitz.h"
 #include "ecc/ladder.h"
+#include "ecc/scalar_mult.h"
 #include "gf2m/backend.h"
 #include "gf2m/gf163_lanes.h"
 #include "gf2m/gf2_163.h"
@@ -159,16 +159,100 @@ void BM_FixedBaseCombMultCt(benchmark::State& state) {
 }
 MEDSEC_BENCH_BACKENDS(BM_FixedBaseCombMultCt);
 
+/// Reader-side K-163 inputs: 16 random scalars and subgroup points, cycled
+/// so a row's time is not one scalar's digit pattern.
+struct ReaderInputs {
+  std::vector<ecc::Scalar> k1, k2;
+  std::vector<ecc::Point> p;
+
+  ReaderInputs() {
+    const ecc::Curve& c = ecc::Curve::k163();
+    rng::Xoshiro256 rng(14);
+    for (int i = 0; i < 16; ++i) {
+      k1.push_back(rng.uniform_nonzero(c.order()));
+      k2.push_back(rng.uniform_nonzero(c.order()));
+      p.push_back(ecc::scalar_mult_ld(c, rng.uniform_nonzero(c.order()),
+                                      c.base_point()));
+    }
+  }
+};
+
+const ReaderInputs& reader_inputs() {
+  static const ReaderInputs in;
+  return in;
+}
+
+/// k·G on the tau-adic engine with the cached width-6 generator table.
 void BM_TauNafMultPrecomp(benchmark::State& state) {
   if (!use_backend(state)) return;
   const ecc::Curve& c = ecc::Curve::k163();
-  const auto& pre = ecc::generator_tau_precomp(c);
-  rng::Xoshiro256 rng(10);
-  const auto k = rng.uniform_nonzero(c.order());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ecc::tau_naf_mult(c, k, pre));
+  const auto& in = reader_inputs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const ecc::MsmTerm t{in.k1[i++ & 15], c.base_point()};
+    benchmark::DoNotOptimize(ecc::multi_scalar_mult(c, {&t, 1}));
+  }
 }
 MEDSEC_BENCH_BACKENDS(BM_TauNafMultPrecomp);
+
+/// One term k·P, P a fresh subgroup point: the binary projective
+/// double-and-add this engine replaced on the reader side...
+void BM_K163ScalarMultLd(benchmark::State& state) {
+  if (!use_backend(state)) return;
+  const ecc::Curve& c = ecc::Curve::k163();
+  const auto& in = reader_inputs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ++i;
+    benchmark::DoNotOptimize(
+        ecc::scalar_mult_ld(c, in.k1[i & 15], in.p[i & 15]));
+  }
+}
+MEDSEC_BENCH_BACKENDS(BM_K163ScalarMultLd);
+
+/// ...and the same product on the tau-adic engine (table built per call).
+void BM_K163TauAdicMult(benchmark::State& state) {
+  if (!use_backend(state)) return;
+  const ecc::Curve& c = ecc::Curve::k163();
+  const auto& in = reader_inputs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ++i;
+    const ecc::MsmTerm t{in.k1[i & 15], in.p[i & 15]};
+    benchmark::DoNotOptimize(ecc::multi_scalar_mult(c, {&t, 1}));
+  }
+}
+MEDSEC_BENCH_BACKENDS(BM_K163TauAdicMult);
+
+/// Two terms k1·G + k2·P, the Schnorr / Peeters–Hermans verifier shape:
+/// binary interleaved wNAF over one doubling chain...
+void BM_K163DoubleScalarBinary(benchmark::State& state) {
+  if (!use_backend(state)) return;
+  const ecc::Curve& c = ecc::Curve::k163();
+  const auto& in = reader_inputs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ++i;
+    const ecc::MsmTerm t[2] = {{in.k1[i & 15], c.base_point()},
+                               {in.k2[i & 15], in.p[i & 15]}};
+    benchmark::DoNotOptimize(ecc::wnaf_multi_scalar_mult(c, t));
+  }
+}
+MEDSEC_BENCH_BACKENDS(BM_K163DoubleScalarBinary);
+
+/// ...and over one Frobenius chain (what double_scalar_mult runs on K-163).
+void BM_K163DoubleScalarTauAdic(benchmark::State& state) {
+  if (!use_backend(state)) return;
+  const ecc::Curve& c = ecc::Curve::k163();
+  const auto& in = reader_inputs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ++i;
+    benchmark::DoNotOptimize(ecc::double_scalar_mult(
+        c, in.k1[i & 15], c.base_point(), in.k2[i & 15], in.p[i & 15]));
+  }
+}
+MEDSEC_BENCH_BACKENDS(BM_K163DoubleScalarTauAdic);
 
 void BM_AffinePointAdd(benchmark::State& state) {
   if (!use_backend(state)) return;

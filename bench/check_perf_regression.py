@@ -121,6 +121,14 @@ RATIO_GATES = [
     # threads, which skips this gate rather than failing it).
     ("BENCH_loadgen.json", "BM_Loadgen/shards:1/real_time",
      "BM_Loadgen/shards:4/real_time", 2.0),
+    # Reader-side tau-adic engine on K-163 (clmul backend, 16 cycled random
+    # inputs): one term k·P >= 1.8x faster than the binary projective
+    # double-and-add, and the verifier shape k1·G + k2·P >= 1.5x faster
+    # than the binary two-term interleaved wNAF.
+    ("BENCH_field_ops.json", "BM_K163ScalarMultLd/backend:1",
+     "BM_K163TauAdicMult/backend:1", 1.8),
+    ("BENCH_field_ops.json", "BM_K163DoubleScalarBinary/backend:1",
+     "BM_K163DoubleScalarTauAdic/backend:1", 1.5),
 ]
 
 

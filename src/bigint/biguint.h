@@ -9,7 +9,7 @@
 // carry/borrow, mul widens). Operations run in time independent of the
 // *values* involved except where noted (division/modulo are not
 // constant-time; they are host-side helpers, never executed on the modeled
-// secure zone — see DESIGN.md §4).
+// secure zone, whose datapath is the field ALU of src/hw/).
 #pragma once
 
 #include <array>

@@ -15,7 +15,9 @@ Curve::Curve(std::string name, const Fe& a, const Fe& b, const Fe& gx,
       order_(order),
       cofactor_(cofactor),
       trace_a_(Fe::trace(a)),
-      ring_(order) {
+      ring_(order),
+      cache_key_(name_ + '/' + b_.to_hex() + '/' + g_.x.to_hex() + '/' +
+                 g_.y.to_hex() + '/' + order_.to_hex()) {
   if (b_.is_zero())
     throw std::invalid_argument("Curve: b = 0 is singular");
   if (!is_on_curve(g_))

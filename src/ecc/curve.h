@@ -53,6 +53,10 @@ class Curve {
   static const Curve& b163();
 
   const std::string& name() const { return name_; }
+  /// Stable identity for per-curve caches: the name, b, the base point and
+  /// the order, rendered once at construction. Two Curve objects with the
+  /// same parameters share a key, whatever their addresses.
+  const std::string& cache_key() const { return cache_key_; }
   const Fe& a() const { return a_; }
   const Fe& b() const { return b_; }
   const Point& base_point() const { return g_; }
@@ -117,6 +121,7 @@ class Curve {
   unsigned cofactor_;
   int trace_a_;  ///< Tr(a), precomputed for the halving-criterion gate
   bigint::ModRing<192> ring_;
+  std::string cache_key_;
 };
 
 }  // namespace medsec::ecc

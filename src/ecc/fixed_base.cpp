@@ -29,6 +29,19 @@ Point LdPoint::to_affine() const {
   return Point::affine(Fe::mul(X, zi), Fe::mul(Y, Fe::sqr(zi)));
 }
 
+std::vector<Point> ld_to_affine_batch(std::span<const LdPoint> pts) {
+  std::vector<Fe> zinv(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) zinv[i] = pts[i].Z;
+  Fe::batch_inv(zinv.data(), zinv.size());
+  std::vector<Point> out(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (pts[i].is_infinity()) continue;  // stays at the default infinity
+    out[i] = Point::affine(Fe::mul(pts[i].X, zinv[i]),
+                           Fe::mul(pts[i].Y, Fe::sqr(zinv[i])));
+  }
+  return out;
+}
+
 LdPoint ld_double(const Curve& curve, const LdPoint& p) {
   // HMV "Guide to ECC" Alg 3.24 for y^2 + xy = x^3 + a x^2 + b:
   //   Z3 = X1^2 Z1^2,  X3 = X1^4 + b Z1^4,
@@ -168,19 +181,11 @@ Point scalar_mult_ld(const Curve& curve, const Scalar& k, const Point& p) {
   return acc.to_affine();
 }
 
-namespace detail {
-std::string curve_cache_key(const Curve& curve) {
-  return curve.name() + '/' + curve.b().to_hex() + '/' +
-         curve.base_point().x.to_hex() + '/' + curve.base_point().y.to_hex() +
-         '/' + curve.order().to_hex();
-}
-}  // namespace detail
-
 const FixedBaseComb& generator_comb(const Curve& curve) {
   static std::mutex mu;
   static std::map<std::string, std::unique_ptr<FixedBaseComb>> cache;
   const std::lock_guard<std::mutex> lock(mu);
-  auto& slot = cache[detail::curve_cache_key(curve)];
+  auto& slot = cache[curve.cache_key()];
   if (!slot)
     slot = std::make_unique<FixedBaseComb>(curve, curve.base_point());
   return *slot;

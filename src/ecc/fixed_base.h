@@ -21,7 +21,8 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <span>
+#include <vector>
 
 #include "ecc/curve.h"
 
@@ -37,6 +38,10 @@ struct LdPoint {
   Point to_affine() const;  ///< one field inversion
   bool is_infinity() const { return Z.is_zero(); }
 };
+
+/// Affine images of a list of López–Dahab points with one shared batch
+/// inversion; infinity (Z == 0) entries come back as the point at infinity.
+std::vector<Point> ld_to_affine_batch(std::span<const LdPoint> pts);
 
 /// 2P in López–Dahab coordinates (5M + 5S, no inversion).
 LdPoint ld_double(const Curve& curve, const LdPoint& p);
@@ -76,16 +81,13 @@ class FixedBaseComb {
 /// including ones whose addresses get recycled — are safe.
 const FixedBaseComb& generator_comb(const Curve& curve);
 
-namespace detail {
-/// Stable identity key for per-curve caches.
-std::string curve_cache_key(const Curve& curve);
-}  // namespace detail
-
 /// Left-to-right double-and-add in López–Dahab coordinates over the EXACT
 /// scalar (no modular reduction, no constant-length padding): one field
 /// inversion for the whole multiplication instead of one per affine group
-/// operation. Variable-time — the verifier/reader-side workhorse for
-/// arbitrary points, and what backs the order·P == infinity subgroup gate.
+/// operation. Variable-time. It backs the order·P == infinity subgroup gate,
+/// which must not reduce the scalar (the tau-adic engine of koblitz.h maps
+/// n to zero), and is the tests' projective oracle; reader-side protocol
+/// multiplications go through multi_scalar_mult instead.
 Point scalar_mult_ld(const Curve& curve, const Scalar& k, const Point& p);
 
 }  // namespace medsec::ecc

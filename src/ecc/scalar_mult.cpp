@@ -69,25 +69,19 @@ Point wnaf_mult(const Curve& curve, const Scalar& k, const Point& p,
 constexpr unsigned kMsmWidth = 4;
 constexpr std::size_t kMsmOdd = std::size_t{1} << (kMsmWidth - 2);
 
-/// Normalize a flat list of López–Dahab points to affine with one shared
-/// batch inversion. Z == 0 (infinity) entries stay at their zero marker and
-/// come back as the point at infinity.
-std::vector<Point> normalize_ld_batch(const std::vector<LdPoint>& pts) {
-  std::vector<Fe> zinv(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) zinv[i] = pts[i].Z;
-  Fe::batch_inv(zinv.data(), zinv.size());
-  std::vector<Point> out(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (pts[i].is_infinity()) continue;  // stays at the default infinity
-    out[i] = Point::affine(Fe::mul(pts[i].X, zinv[i]),
-                           Fe::mul(pts[i].Y, Fe::sqr(zinv[i])));
-  }
-  return out;
-}
-
 }  // namespace
 
 Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
+  // One or two terms on a Koblitz curve: the tau-adic engine. Larger
+  // calls (RLC batches, whose 64-bit coefficients would double in
+  // tau-adic length) and other curves share the binary doubling chain.
+  if (terms.size() <= 2 && tau_adic_supported(curve))
+    return tau_adic_mult(curve, terms);
+  return wnaf_multi_scalar_mult(curve, terms);
+}
+
+Point wnaf_multi_scalar_mult(const Curve& curve,
+                             std::span<const MsmTerm> terms) {
   struct Entry {
     std::vector<int> digits;
     std::size_t table_offset = 0;  // into the flat odd-multiple table
@@ -110,7 +104,7 @@ Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
     doubles.push_back(ld_double(curve, LdPoint::from_affine(t.p)));
   }
   if (entries.empty()) return Point::at_infinity();
-  const std::vector<Point> two_p = normalize_ld_batch(doubles);
+  const std::vector<Point> two_p = ld_to_affine_batch(doubles);
 
   // Phase 2: odd multiples 1P, 3P, 5P, 7P per term — a mixed-addition chain
   // in projective coordinates, normalized together (2nd batch_inv).
@@ -124,7 +118,7 @@ Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms) {
       odd_ld.push_back(acc);
     }
   }
-  const std::vector<Point> odd = normalize_ld_batch(odd_ld);
+  const std::vector<Point> odd = ld_to_affine_batch(odd_ld);
 
   // Phase 3: one shared doubling chain, interleaved wNAF additions.
   std::size_t max_len = 0;
@@ -188,8 +182,10 @@ Point scalar_mult(const Curve& curve, const Scalar& k, const Point& p,
       return wnaf_mult(curve, k.mod(curve.order()), p, /*width=*/4,
                        options.stats);
 
-    case MultAlgorithm::kTauNaf:
-      return tau_naf_mult(curve, k, p, options.stats);
+    case MultAlgorithm::kTauNaf: {
+      const MsmTerm term{k, p};
+      return tau_adic_mult(curve, {&term, 1}, options.stats);
+    }
 
     case MultAlgorithm::kMontgomeryLadder:
     case MultAlgorithm::kLadderRpc: {

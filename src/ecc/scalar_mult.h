@@ -20,7 +20,7 @@ namespace medsec::ecc {
 enum class MultAlgorithm {
   kDoubleAndAdd,      ///< unprotected baseline (timing + SPA leaky)
   kWnaf,              ///< width-4 NAF: faster than D&A, still SPA-leaky
-  kTauNaf,            ///< Frobenius-based (Koblitz only): no doublings
+  kTauNaf,            ///< tau-adic engine (Koblitz only): no doublings
   kMontgomeryLadder,  ///< constant operation schedule
   kLadderRpc,         ///< ladder + randomized projective coordinates
 };
@@ -57,8 +57,16 @@ struct MsmTerm {
   Point p;
 };
 
-/// Interleaved (Straus/Shamir) multi-scalar multiplication:
-/// sum_i terms[i].k * terms[i].p. All terms share ONE doubling chain in
+/// Multi-scalar multiplication sum_i terms[i].k * terms[i].p.
+///
+/// One or two terms on a Koblitz curve (K-163) go to the tau-adic engine
+/// (koblitz.h): ~m Frobenius maps and ~m/(w+1) additions per term, no
+/// doublings. Its reduction modulo delta is sound only for points of the
+/// prime-order subgroup, which every caller guarantees (see below).
+///
+/// Everything else — B-163, and batches of three or more terms such as the
+/// RLC batch verifier's — runs interleaved (Straus/Shamir) wNAF: all terms
+/// share ONE doubling chain in
 /// López–Dahab projective coordinates; each term contributes only its wNAF
 /// additions, and every per-term precomputed odd multiple across the whole
 /// call is normalized to affine with a shared Gf163::batch_inv. For n
@@ -69,11 +77,19 @@ struct MsmTerm {
 /// Variable-time (verifier/reader-side only — never feed it a secret
 /// scalar). Zero scalars and infinity points contribute nothing. Like
 /// scalar_mult, it validates nothing: callers at trust boundaries must run
-/// Curve::validate_subgroup_point on each point first.
+/// Curve::validate_subgroup_point on each point first. A single term is
+/// passed as a one-element span: `multi_scalar_mult(curve, {&term, 1})`.
 Point multi_scalar_mult(const Curve& curve, std::span<const MsmTerm> terms);
 
-/// Double-scalar convenience (Shamir's trick): k1·p1 + k2·p2 with one
-/// shared doubling chain — the verifier-equation workhorse (Schnorr
+/// The binary interleaved wNAF path of multi_scalar_mult, for any curve,
+/// any points and any number of terms. Exposed as the tau-adic engine's
+/// same-run baseline and test oracle.
+Point wnaf_multi_scalar_mult(const Curve& curve,
+                             std::span<const MsmTerm> terms);
+
+/// Double-scalar convenience: k1·p1 + k2·p2 over one shared chain
+/// (Frobenius on K-163, doubling elsewhere) — the verifier-equation
+/// workhorse (Schnorr
 /// s·P − e·X, Peeters–Hermans (s−d)·P − e·R).
 Point double_scalar_mult(const Curve& curve, const Scalar& k1, const Point& p1,
                          const Scalar& k2, const Point& p2);

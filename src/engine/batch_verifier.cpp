@@ -73,8 +73,22 @@ BatchVerifyOutcome schnorr_verify_batch(
   const std::size_t n = transcripts.size();
   BatchVerifyOutcome out;
   out.ok.assign(n, false);
-  if (n == 0) return out;
   std::vector<bool>& ok = out.ok;
+
+  // Infinity commitments are rejected outright; the rest are live.
+  std::vector<std::size_t> live;
+  live.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (!transcripts[i].commitment.infinity) live.push_back(i);
+  if (live.empty()) return out;
+  if (live.size() == 1) {
+    // One live transcript: the combination buys nothing. Check
+    // s·P − e·X == R_c directly, the two-term equation schnorr_verify runs
+    // (no coefficient draw, one term fewer, same verdict).
+    const std::size_t i = live.front();
+    ok[i] = protocol::schnorr_verify(curve, keys[i], transcripts[i]);
+    return out;
+  }
 
   const auto& ring = curve.scalar_ring();
 
@@ -83,12 +97,9 @@ BatchVerifyOutcome schnorr_verify_batch(
   // Nonzero 64-bit coefficients keep the R_i terms short (64 add rows in
   // the interleaved MSM) at a 2^-64 per-batch forgery bound.
   std::vector<ecc::MsmTerm> terms;
-  terms.reserve(2 * n + 1);
-  std::vector<std::size_t> live;  // indices folded into the combination
-  live.reserve(n);
+  terms.reserve(2 * live.size() + 1);
   Scalar acc_s{};  // sum c_i s_i mod l
-  for (std::size_t i = 0; i < n; ++i) {
-    if (transcripts[i].commitment.infinity) continue;  // rejected outright
+  for (const std::size_t i : live) {
     std::uint64_t c64;
     do {
       c64 = rng.next_u64();
@@ -98,9 +109,7 @@ BatchVerifyOutcome schnorr_verify_batch(
     terms.push_back({c, curve.negate(transcripts[i].commitment)});
     terms.push_back(
         {ring.mul(c, transcripts[i].challenge), curve.negate(keys[i])});
-    live.push_back(i);
   }
-  if (live.empty()) return out;
   terms.push_back({acc_s, curve.base_point()});
 
   if (ecc::multi_scalar_mult(curve, terms).infinity) {

@@ -58,7 +58,9 @@ struct BatchVerifyOutcome {
 
 /// Random-linear-combination batch verification of decoded transcripts
 /// (commitments already validated). `rng` supplies the 64-bit combination
-/// coefficients.
+/// coefficients. A batch with one live transcript (infinity commitments
+/// are rejected outright) is checked alone with schnorr_verify: no
+/// coefficient is drawn and rlc_passed stays true.
 BatchVerifyOutcome schnorr_verify_batch(
     const ecc::Curve& curve,
     std::span<const protocol::SchnorrTranscript> transcripts,

@@ -5,6 +5,7 @@
 #include "ciphers/modes.h"
 #include "ecc/fixed_base.h"
 #include "ecc/ladder.h"
+#include "ecc/scalar_mult.h"
 #include "hash/hmac.h"
 #include "hash/sha256.h"
 #include "protocol/snapshot.h"
@@ -245,7 +246,8 @@ std::optional<std::vector<std::uint8_t>> ecies_decrypt(
     const CipherFactory& make_cipher, std::size_t key_bytes) {
   // Invalid-curve gate: the ephemeral point is attacker-controlled.
   if (!curve.validate_subgroup_point(ct.ephemeral)) return std::nullopt;
-  const Point Z = ecc::scalar_mult_ld(curve, y, ct.ephemeral);
+  const ecc::MsmTerm y_eph{y, ct.ephemeral};
+  const Point Z = ecc::multi_scalar_mult(curve, {&y_eph, 1});
   if (Z.infinity) return std::nullopt;
 
   const auto probe = make_cipher(std::vector<std::uint8_t>(key_bytes, 0));

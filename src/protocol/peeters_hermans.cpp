@@ -95,8 +95,10 @@ std::optional<std::size_t> ph_reader_identify(const Curve& curve,
                                               const PhTranscript& t) {
   if (t.commitment.infinity) return std::nullopt;
   if (!curve.validate_subgroup_point(t.commitment)) return std::nullopt;
-  // d' = xcoord(y·R_c); X^ = (s − d')·P − e·R_c via Shamir's trick.
-  const Point yr = ecc::scalar_mult_ld(curve, reader.y, t.commitment);
+  // d' = xcoord(y·R_c); X^ = (s − d')·P − e·R_c, one double-scalar
+  // multiplication.
+  const ecc::MsmTerm y_rc{reader.y, t.commitment};
+  const Point yr = ecc::multi_scalar_mult(curve, {&y_rc, 1});
   const Scalar d = fe_to_scalar_mod_order(curve, yr.x);
   const auto& ring = curve.scalar_ring();
   const Point x_hat =

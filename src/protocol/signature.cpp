@@ -80,10 +80,9 @@ bool ec_schnorr_verify(const Curve& curve, const Point& X,
   if (sig.e.is_zero() || sig.s.is_zero()) return false;
   if (sig.e >= curve.order() || sig.s >= curve.order()) return false;
   if (!curve.validate_subgroup_point(X)) return false;
-  // R' = s*P - e*X.
-  const Point sp = ecc::generator_comb(curve).mult(sig.s);
-  const Point ex = ecc::scalar_mult_ld(curve, sig.e, X);
-  const Point r = curve.add(sp, curve.negate(ex));
+  // R' = s*P - e*X, one double-scalar multiplication.
+  const Point r = ecc::double_scalar_mult(curve, sig.s, curve.base_point(),
+                                          curve.scalar_ring().neg(sig.e), X);
   if (r.infinity) return false;
   return challenge_scalar(curve, r.x, message, nullptr) == sig.e;
 }

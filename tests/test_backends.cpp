@@ -329,45 +329,84 @@ TEST(FixedBaseComb, LdScalarMultMatchesReference) {
   }
 }
 
-// --- windowed TNAF -----------------------------------------------------------
+// --- windowed TNAF and the tau-adic dispatch --------------------------------
 
-TEST(WindowTnaf, DigitPropertiesWidth4) {
+TEST(WindowTnaf, DigitPropertiesAllWidths) {
   Xoshiro256 rng(1212);
   const Curve& c = Curve::k163();
   for (int i = 0; i < 20; ++i) {
-    const Scalar k = rng.uniform_nonzero(c.order());
-    const auto digits = medsec::ecc::tau_naf_window_digits(k, 1, 4);
-    for (std::size_t j = 0; j < digits.size(); ++j) {
-      const int d = digits[j];
-      EXPECT_LT(d, 8);
-      EXPECT_GT(d, -8);
-      if (d != 0) {
-        EXPECT_EQ((d % 2 + 2) % 2, 1) << "digit must be odd";
-        // Next w-1 = 3 digits are zero.
-        for (std::size_t z = 1; z <= 3 && j + z < digits.size(); ++z)
-          EXPECT_EQ(digits[j + z], 0) << "at " << j << "+" << z;
+    const auto rho =
+        medsec::ecc::tau_partial_reduce(c, rng.uniform_nonzero(c.order()));
+    for (unsigned w = 2; w <= 6; ++w) {
+      const auto digits = medsec::ecc::tau_naf_digits(rho, 1, w);
+      const int bound = 1 << (w - 1);
+      for (std::size_t j = 0; j < digits.size(); ++j) {
+        const int d = digits[j];
+        EXPECT_LT(d, bound);
+        EXPECT_GT(d, -bound);
+        if (d != 0) {
+          EXPECT_EQ((d % 2 + 2) % 2, 1) << "digit must be odd";
+          // The next w-1 digits are zero.
+          for (std::size_t z = 1; z < w && j + z < digits.size(); ++z)
+            EXPECT_EQ(digits[j + z], 0) << "w=" << w << " at " << j << "+" << z;
+        }
       }
     }
   }
 }
 
-TEST(WindowTnaf, MultAgreesWithLadderAllWidths) {
-  const Curve& c = Curve::k163();
-  Xoshiro256 rng(1313);
-  for (int i = 0; i < 10; ++i) {
-    const Scalar k = rng.uniform_nonzero(c.order());
-    const Point want = medsec::ecc::montgomery_ladder(c, k, c.base_point());
-    EXPECT_EQ(medsec::ecc::tau_naf_mult(c, k, c.base_point()), want);
-    for (unsigned w = 2; w <= 5; ++w) {
-      const medsec::ecc::TauNafPrecomp pre(c, c.base_point(), w);
-      EXPECT_EQ(medsec::ecc::tau_naf_mult(c, k, pre), want) << "width " << w;
+TEST(WindowTnaf, DispatchMatchesBinaryPath) {
+  // K-163 calls of one or two terms take the tau-adic engine; B-163 and
+  // wider K-163 calls keep the binary interleaved wNAF. Every route gives
+  // the binary path's point.
+  using medsec::ecc::MsmTerm;
+  for (const Curve* c : {&Curve::k163(), &Curve::b163()}) {
+    Xoshiro256 rng(1313);
+    for (std::size_t n = 1; n <= 3; ++n) {
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<MsmTerm> terms;
+        for (std::size_t i = 0; i < n; ++i) {
+          const Point p = i == 0 && trial % 2 == 0
+                              ? c->base_point()
+                              : medsec::ecc::scalar_mult_ld(
+                                    *c, rng.uniform_nonzero(c->order()),
+                                    c->base_point());
+          terms.push_back({rng.uniform_nonzero(c->order()), p});
+        }
+        const Point want = medsec::ecc::wnaf_multi_scalar_mult(*c, terms);
+        EXPECT_EQ(medsec::ecc::multi_scalar_mult(*c, terms), want)
+            << c->name() << " n=" << n;
+        Point ref = Point::at_infinity();
+        for (const auto& t : terms)
+          ref = c->add(ref, c->scalar_mult_reference(t.k, t.p));
+        EXPECT_EQ(want, ref) << c->name() << " n=" << n;
+      }
     }
   }
-  // Cached generator table.
-  const Scalar k = rng.uniform_nonzero(c.order());
-  EXPECT_EQ(medsec::ecc::tau_naf_mult(
-                c, k, medsec::ecc::generator_tau_precomp(c)),
-            medsec::ecc::montgomery_ladder(c, k, c.base_point()));
+}
+
+TEST(WindowTnaf, ExactSubgroupGateStillRejectsOrder2nPoints) {
+  // n == 0 (mod delta), so a delta-reduced multiplication would send n·P to
+  // infinity for EVERY point; the exact gate must keep the unreduced
+  // projective double-and-add. A point with Tr(x) != Tr(a) on K-163 has
+  // order 2n: n·P is the order-2 point, not infinity.
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(1515);
+  int found = 0;
+  for (int i = 0; i < 64 && found < 4; ++i) {
+    const Gf163 x = random_fe(rng);
+    if (x.is_zero() || Gf163::trace(x) == Gf163::trace(c.a())) continue;
+    const auto p = c.decompress(Curve::Compressed{x, 0});
+    if (!p) continue;
+    ++found;
+    ASSERT_TRUE(c.is_on_curve(*p));
+    EXPECT_FALSE(c.validate_subgroup_point_exact(*p));
+    EXPECT_FALSE(c.validate_subgroup_point(*p));
+    const Point np = medsec::ecc::scalar_mult_ld(c, c.order(), *p);
+    EXPECT_FALSE(np.infinity);
+    EXPECT_TRUE(np.x.is_zero()) << "n·P is the order-2 point (0, 1)";
+  }
+  EXPECT_GT(found, 0);
 }
 
 // --- digit-serial model fast path -------------------------------------------

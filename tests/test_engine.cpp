@@ -191,6 +191,47 @@ TEST(BatchVerify, FallbackIsolatesTheForgery) {
     EXPECT_EQ(out.ok[i], i != 3) << i;
 }
 
+TEST(BatchVerify, SingletonMatchesSchnorrVerifyWithoutCoefficient) {
+  // A batch with one live transcript is checked alone: same verdict as
+  // schnorr_verify for honest, forged and infinity commitments, and no
+  // RLC coefficient is drawn.
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(9);
+  auto [honest, key] = honest_transcript(c, rng);
+  proto::SchnorrTranscript forged = honest;
+  forged.response = c.scalar_ring().add(forged.response, Scalar{1});
+  proto::SchnorrTranscript at_infinity = honest;
+  at_infinity.commitment = Point::at_infinity();
+  const Point wrong_key = proto::schnorr_keygen(c, rng).X;
+
+  struct Case {
+    proto::SchnorrTranscript t;
+    Point x;
+    bool want;
+  };
+  for (const Case& k : {Case{honest, key, true}, Case{forged, key, false},
+                        Case{honest, wrong_key, false},
+                        Case{at_infinity, key, false}}) {
+    EXPECT_EQ(proto::schnorr_verify(c, k.x, k.t), k.want);
+    Xoshiro256 coeffs(10), untouched(10);
+    const auto out = engine::schnorr_verify_batch(
+        c, std::span(&k.t, 1), std::span(&k.x, 1), coeffs);
+    ASSERT_EQ(out.ok.size(), 1u);
+    EXPECT_EQ(out.ok[0], k.want);
+    EXPECT_TRUE(out.rlc_passed);
+    EXPECT_EQ(coeffs.next_u64(), untouched.next_u64());
+  }
+
+  // One live transcript beside a rejected infinity commitment takes the
+  // same single path.
+  const std::vector<proto::SchnorrTranscript> ts{at_infinity, honest};
+  const std::vector<Point> keys{key, key};
+  Xoshiro256 coeffs(11);
+  const auto out = engine::schnorr_verify_batch(c, ts, keys, coeffs);
+  EXPECT_FALSE(out.ok[0]);
+  EXPECT_TRUE(out.ok[1]);
+}
+
 TEST(BatchVerifierQueue, FlushesAtBatchSizeAndOnDemand) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(8);

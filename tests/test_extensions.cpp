@@ -6,6 +6,7 @@
 #include "ciphers/aes128.h"
 #include "ciphers/present.h"
 #include "ecc/curve.h"
+#include "ecc/fixed_base.h"
 #include "ecc/koblitz.h"
 #include "ecc/ladder.h"
 #include "ecc/scalar_mult.h"
@@ -114,38 +115,168 @@ TEST(Wnaf, RejectsBadWidth) {
   EXPECT_TRUE(medsec::ecc::wnaf_digits(Scalar{}, 4).empty());
 }
 
-// --- tau-adic NAF (Koblitz) -----------------------------------------------------
+// --- tau-adic engine (Koblitz) --------------------------------------------------
+
+using medsec::ecc::MsmTerm;
+using medsec::ecc::TauElement;
+
+/// m + a + 3: Solinas' length bound for the TNAF of a reduced scalar.
+constexpr std::size_t kReducedDigitBound = 163 + 1 + 3;
+
+/// v·P for a signed 128-bit v, through the exact projective oracle.
+Point times_int(const Curve& c, __int128 v, const Point& p) {
+  const unsigned __int128 m = v < 0 ? -static_cast<unsigned __int128>(v)
+                                    : static_cast<unsigned __int128>(v);
+  Scalar s;
+  s.set_limb(0, static_cast<std::uint64_t>(m));
+  s.set_limb(1, static_cast<std::uint64_t>(m >> 64));
+  const Point r = medsec::ecc::scalar_mult_ld(c, s, p);
+  return v < 0 ? c.negate(r) : r;
+}
+
+Point random_subgroup_point(const Curve& c, Xoshiro256& rng) {
+  return medsec::ecc::scalar_mult_ld(c, rng.uniform_nonzero(c.order()),
+                                     c.base_point());
+}
 
 TEST(TauNaf, DigitsAreSignedBitsAndNonAdjacent) {
   Xoshiro256 rng(20);
   const Curve& c = Curve::k163();
   for (int trial = 0; trial < 5; ++trial) {
-    const auto digits =
-        medsec::ecc::tau_naf_digits(rng.uniform_nonzero(c.order()), 1);
-    EXPECT_LE(digits.size(), 340u);  // ~2m + small slack, unreduced
+    const TauElement rho =
+        medsec::ecc::tau_partial_reduce(c, rng.uniform_nonzero(c.order()));
+    const auto digits = medsec::ecc::tau_naf_digits(rho, 1);
+    EXPECT_LE(digits.size(), kReducedDigitBound);  // ~m, partially reduced
     for (std::size_t i = 0; i + 1 < digits.size(); ++i) {
       EXPECT_LE(std::abs(digits[i]), 1);
       EXPECT_FALSE(digits[i] != 0 && digits[i + 1] != 0)
           << "adjacent nonzero digits at " << i;
     }
+    // Horner in Z[tau] (tau^2 = tau - 2 on K-163) gives rho back exactly.
+    TauElement acc;
+    for (std::size_t i = digits.size(); i-- > 0;) {
+      acc = TauElement{-2 * acc.r1 + digits[i], acc.r0 + acc.r1};
+    }
+    EXPECT_TRUE(acc.r0 == rho.r0 && acc.r1 == rho.r1);
   }
-  EXPECT_THROW(medsec::ecc::tau_naf_digits(Scalar{5}, 0),
+  EXPECT_THROW(medsec::ecc::tau_naf_digits(TauElement{5, 0}, 0),
                std::invalid_argument);
-  EXPECT_TRUE(medsec::ecc::tau_naf_digits(Scalar{}, 1).empty());
+  EXPECT_THROW(medsec::ecc::tau_naf_digits(TauElement{5, 0}, 1, 7),
+               std::invalid_argument);
+  EXPECT_TRUE(medsec::ecc::tau_naf_digits(TauElement{}, 1).empty());
+}
+
+TEST(TauNaf, PartialReductionPreservesThePoint) {
+  // rho == k (mod delta) and delta kills the prime-order subgroup, so
+  // r0·P + r1·tau(P) == k·P for every subgroup point; rho is ~sqrt(n) and
+  // every window's expansion stays within m + a + 3 digits.
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(24);
+  const __int128 bound = static_cast<__int128>(1) << 84;
+  for (int i = 0; i < 12; ++i) {
+    Scalar k = rng.uniform_nonzero(c.order());
+    if (i % 3 == 1) k.add_in_place(c.order());  // k >= n reduces too
+    if (i % 3 == 2) k = k.shl(28);              // up to 191 bits
+    const TauElement rho = medsec::ecc::tau_partial_reduce(c, k);
+    EXPECT_TRUE(rho.r0 < bound && rho.r0 > -bound && rho.r1 < bound &&
+                rho.r1 > -bound);
+    const Point p = random_subgroup_point(c, rng);
+    EXPECT_EQ(c.add(times_int(c, rho.r0, p),
+                    times_int(c, rho.r1, c.frobenius(p))),
+              medsec::ecc::scalar_mult_ld(c, k, p))
+        << "trial " << i;
+    for (unsigned w = 2; w <= 6; ++w)
+      EXPECT_LE(medsec::ecc::tau_naf_digits(rho, 1, w).size(),
+                kReducedDigitBound)
+          << "width " << w;
+  }
+  // n == 0 (mod delta): the subgroup order reduces to zero.
+  const TauElement zero = medsec::ecc::tau_partial_reduce(c, c.order());
+  EXPECT_TRUE(zero.r0 == 0 && zero.r1 == 0);
 }
 
 TEST(TauNaf, MultiplicationAgreesWithLadder) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(21);
   for (int i = 0; i < 8; ++i) {
-    const Scalar k = rng.uniform_nonzero(c.order());
-    EXPECT_EQ(medsec::ecc::tau_naf_mult(c, k, c.base_point()),
-              medsec::ecc::montgomery_ladder(c, k, c.base_point()));
+    const MsmTerm t{rng.uniform_nonzero(c.order()), c.base_point()};
+    EXPECT_EQ(medsec::ecc::tau_adic_mult(c, {&t, 1}),
+              medsec::ecc::montgomery_ladder(c, t.k, c.base_point()));
   }
-  for (std::uint64_t k = 0; k <= 16; ++k)
-    EXPECT_EQ(medsec::ecc::tau_naf_mult(c, Scalar{k}, c.base_point()),
+  for (std::uint64_t k = 0; k <= 16; ++k) {
+    const MsmTerm t{Scalar{k}, c.base_point()};
+    EXPECT_EQ(medsec::ecc::tau_adic_mult(c, {&t, 1}),
               c.scalar_mult_reference(Scalar{k}, c.base_point()))
         << "k=" << k;
+  }
+}
+
+TEST(TauNaf, MatchesProjectiveOracleOnSubgroupPoints) {
+  const Curve& c = Curve::k163();
+  Xoshiro256 rng(25);
+  const Scalar n = c.order();
+  const Scalar one{1};
+  std::vector<Scalar> edge{Scalar{}, Scalar{1}, Scalar{2}, n - one, n,
+                           n + one, n + n - one};
+  for (int i = 0; i < 6; ++i) {
+    Scalar k = rng.uniform_nonzero(n);
+    if (i % 2 == 1) k.add_in_place(n);
+    edge.push_back(k);
+  }
+  for (int trial = 0; trial < 3; ++trial) {
+    const Point p = random_subgroup_point(c, rng);
+    for (const Point& base : {p, c.base_point()}) {
+      for (const Scalar& k : edge) {
+        const MsmTerm t{k, base};
+        EXPECT_EQ(medsec::ecc::tau_adic_mult(c, {&t, 1}),
+                  medsec::ecc::scalar_mult_ld(c, k, base))
+            << k.to_hex();
+      }
+    }
+    EXPECT_EQ(medsec::ecc::tau_adic_mult(c, std::vector<MsmTerm>{
+                                                {Scalar{3}, p}}),
+              c.scalar_mult_reference(Scalar{3}, p));
+  }
+
+  // Both terms of a two-term call: generator + point, two points, equal
+  // points, cancelling terms, and degenerate terms.
+  for (int trial = 0; trial < 6; ++trial) {
+    const Point p = random_subgroup_point(c, rng);
+    const Point q = trial % 2 ? c.base_point() : random_subgroup_point(c, rng);
+    const Scalar a = edge[static_cast<std::size_t>(trial) % edge.size()];
+    const Scalar b = rng.uniform_nonzero(n);
+    const std::vector<MsmTerm> two{{a, p}, {b, q}};
+    EXPECT_EQ(medsec::ecc::tau_adic_mult(c, two),
+              c.add(medsec::ecc::scalar_mult_ld(c, a, p),
+                    medsec::ecc::scalar_mult_ld(c, b, q)))
+        << "trial " << trial;
+  }
+  const Point p = random_subgroup_point(c, rng);
+  const Scalar k = rng.uniform_nonzero(n);
+  EXPECT_EQ(medsec::ecc::tau_adic_mult(c, std::vector<MsmTerm>{{k, p},
+                                                               {k, p}}),
+            medsec::ecc::scalar_mult_ld(c, k + k, p));
+  EXPECT_TRUE(medsec::ecc::tau_adic_mult(
+                  c, std::vector<MsmTerm>{{k, p}, {n - k, p}})
+                  .infinity);
+  EXPECT_EQ(medsec::ecc::tau_adic_mult(
+                c, std::vector<MsmTerm>{{k, Point::at_infinity()}, {k, p}}),
+            medsec::ecc::scalar_mult_ld(c, k, p));
+  EXPECT_TRUE(
+      medsec::ecc::tau_adic_mult(c, std::vector<MsmTerm>{}).infinity);
+}
+
+TEST(TauNaf, RejectsUnsupportedCurvesAndWideCalls) {
+  const Curve& k = Curve::k163();
+  const Curve& b = Curve::b163();
+  EXPECT_TRUE(medsec::ecc::tau_adic_supported(k));
+  EXPECT_FALSE(medsec::ecc::tau_adic_supported(b));
+  const MsmTerm t{Scalar{5}, b.base_point()};
+  EXPECT_THROW(medsec::ecc::tau_adic_mult(b, {&t, 1}), std::invalid_argument);
+  EXPECT_THROW(medsec::ecc::tau_partial_reduce(b, Scalar{5}),
+               std::invalid_argument);
+  const std::vector<MsmTerm> three(3, MsmTerm{Scalar{5}, k.base_point()});
+  EXPECT_THROW(medsec::ecc::tau_adic_mult(k, three), std::invalid_argument);
 }
 
 TEST(TauNaf, UsesNoPointDoublings) {
@@ -154,13 +285,18 @@ TEST(TauNaf, UsesNoPointDoublings) {
   const Curve& c = Curve::k163();
   Xoshiro256 rng(22);
   MultStats st;
-  medsec::ecc::tau_naf_mult(c, rng.uniform_nonzero(c.order()),
-                            c.base_point(), &st);
+  MultOptions opt;
+  opt.algorithm = MultAlgorithm::kTauNaf;
+  opt.stats = &st;
+  medsec::ecc::scalar_mult(c, rng.uniform_nonzero(c.order()), c.base_point(),
+                           opt);
   EXPECT_EQ(st.point_doubles, 0u);
-  // Width-4 windowed TNAF: nonzero digit density ~1/(w+1) = 1/5 of the
-  // ~2*163-digit expansion (the classic w=2 TNAF would sit near digits/3).
-  EXPECT_GT(st.point_adds, 45u);
-  EXPECT_LT(st.point_adds, 90u);
+  // The generator's width-6 window over the ~m-digit reduced expansion:
+  // nonzero density ~1/(w+1) = 1/7 of ~163 digits.
+  EXPECT_GT(st.point_adds, 15u);
+  EXPECT_LT(st.point_adds, 32u);
+  EXPECT_LE(st.op_pattern.size(), kReducedDigitBound);
+  EXPECT_EQ(st.op_slots, st.op_pattern.size() + st.point_adds);
 }
 
 TEST(TauNaf, DispatchThroughScalarMult) {
