@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -66,37 +67,30 @@ class EventQueue {
     return false;
   }
 
+  /// Deadline of the earliest live event, or nullopt when nothing is
+  /// pending. Cancelled heads surfacing on the way are dropped; no event
+  /// runs and the clock does not move. An owner that sleeps between
+  /// pumps uses it to know how long it may sleep.
+  std::optional<Cycle> next_deadline() {
+    while (!heap_.empty()) {
+      if (!cancelled_.erase(heap_.top().id)) return heap_.top().at;
+      heap_.pop();
+    }
+    return std::nullopt;
+  }
+
   /// Run the earliest pending event, advancing the clock to its deadline.
   /// Returns false when nothing is pending.
   bool run_next() {
-    while (!heap_.empty()) {
-      if (cancelled_.erase(heap_.top().id)) {
-        heap_.pop();
-        continue;
-      }
-      // Move the event out before running: the callback may schedule new
-      // events (reallocating under the heap) or cancel others.
-      Event ev = std::move(const_cast<Event&>(heap_.top()));
-      heap_.pop();
-      --live_;
-      now_ = ev.at;
-      ++events_run_;
-      ev.fn();
-      return true;
-    }
-    return false;
+    if (!next_deadline()) return false;
+    run_top();
+    return true;
   }
 
   /// Run every event with deadline <= t, then advance the clock to t.
   void run_until(Cycle t) {
-    while (!heap_.empty()) {
-      if (cancelled_.erase(heap_.top().id)) {
-        heap_.pop();
-        continue;
-      }
-      if (heap_.top().at > t) break;
-      run_next();
-    }
+    for (std::optional<Cycle> at; (at = next_deadline()) && *at <= t;)
+      run_top();
     if (now_ < t) now_ = t;
   }
 
@@ -110,6 +104,18 @@ class EventQueue {
   }
 
  private:
+  /// Run the heap's top, which next_deadline() has just shown is live.
+  void run_top() {
+    // Move the event out before running: the callback may schedule new
+    // events (reallocating under the heap) or cancel others.
+    Event ev = std::move(const_cast<Event&>(heap_.top()));
+    heap_.pop();
+    --live_;
+    now_ = ev.at;
+    ++events_run_;
+    ev.fn();
+  }
+
   struct Event {
     Cycle at;
     EventId id;

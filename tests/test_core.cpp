@@ -1,6 +1,8 @@
-// Tests for the core SecureEccProcessor facade and the ISA audit.
+// Tests for the core SecureEccProcessor facade, the ISA audit and the
+// event queue's deadline peek.
 #include <gtest/gtest.h>
 
+#include "core/event_queue.h"
 #include "core/isa_audit.h"
 #include "core/secure_processor.h"
 #include "ecc/ladder.h"
@@ -136,6 +138,40 @@ TEST(IsaAudit, ProtectedConfigurationPasses) {
 TEST(IsaAudit, EmptyReportIsNotAPass) {
   medsec::core::IsaAuditReport rep;
   EXPECT_FALSE(rep.all_pass());
+}
+
+TEST(EventQueue, NextDeadlineSkipsCancelledHeadsAndRunsNothing) {
+  medsec::core::EventQueue q;
+  EXPECT_FALSE(q.next_deadline().has_value());  // empty: no deadline
+
+  int fired = 0;
+  const auto first = q.schedule(5, [&] { ++fired; });
+  const auto second = q.schedule(9, [&] { ++fired; });
+  q.schedule(20, [&] { ++fired; });
+  ASSERT_TRUE(q.next_deadline().has_value());
+  EXPECT_EQ(*q.next_deadline(), 5u);
+
+  // Cancelled heads are dropped on the way to the earliest live event.
+  q.cancel(first);
+  q.cancel(second);
+  ASSERT_TRUE(q.next_deadline().has_value());
+  EXPECT_EQ(*q.next_deadline(), 20u);
+
+  // A peek is only a peek: nothing ran and the clock stayed put.
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.events_run(), 0u);
+  EXPECT_EQ(q.now(), 0u);
+  EXPECT_EQ(q.pending(), 1u);
+
+  q.run_until(20);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(q.next_deadline().has_value());
+  EXPECT_EQ(q.now(), 20u);
+
+  // A queue holding only cancelled events has no deadline either.
+  q.cancel(q.schedule(3, [&] { ++fired; }));
+  EXPECT_FALSE(q.next_deadline().has_value());
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // (one golden run_sharded_campaign digest at ANY shard and thread count,
 // failover and faults included), per-shard batch verification with
 // forgery isolation, inline-judged and verdict-pending sessions through
-// the session factory, frame-buffer pooling, and the UDP front end
+// the session factory, frame-buffer pooling, the shard loops' blocking
+// wait (idle shards stay asleep, timers and stop() still wake them, no
+// offer is lost to the doorbell handshake), and the UDP front end
 // end-to-end over loopback.
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -399,6 +403,162 @@ TEST(ShardEngine, DeferredVerdictIsPendingUntilTheFlush) {
   EXPECT_TRUE(rec->second.completed);
   EXPECT_TRUE(rec->second.accepted);
   EXPECT_TRUE(eng.quiescent());
+}
+
+// --- ShardFleet loops: sleep until a datagram, a timer or stop() -------------
+
+using Clock = std::chrono::steady_clock;
+
+/// Thread-safe transport recording every downlink frame and when the shard
+/// sent it.
+struct RecordingTransport final : engine::Transport {
+  struct Sent {
+    Clock::time_point at;
+    engine::FrameType type;
+    std::string label;
+  };
+  void send_downlink(std::uint64_t, const engine::Peer&,
+                     std::vector<std::uint8_t> bytes) override {
+    const auto f = engine::decode_frame(bytes);
+    std::lock_guard<std::mutex> lk(mu);
+    if (f) sent.push_back({Clock::now(), f->type, f->label});
+  }
+  std::vector<Sent> snapshot() {
+    std::lock_guard<std::mutex> lk(mu);
+    return sent;
+  }
+  std::mutex mu;
+  std::vector<Sent> sent;
+};
+
+/// A factory that refuses every id: offered datagrams are drained and
+/// counted, then dropped.
+engine::SessionFactory refuse_all() {
+  return [](std::uint64_t) { return engine::SessionSetup{}; };
+}
+
+TEST(ShardFleet, IdleShardsSleepInsteadOfTicking) {
+  engine::ShardFleetConfig cfg;
+  cfg.shards = 2;
+  cfg.cycles_per_us = 0.01;
+  RecordingTransport transport;  // outlives the fleet's threads
+  engine::ShardFleet fleet(Curve::k163(), cfg, refuse_all(), 1);
+  fleet.start(transport);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // One tick per shard at start-up, then nothing: no datagram, no timer.
+  // A loop polling every 50 µs ticked ~3,700 times here.
+  EXPECT_LE(fleet.totals().ticks, 6u);
+  fleet.stop();
+}
+
+TEST(ShardFleet, StopReturnsPromptlyOnAnIdleFleet) {
+  for (const bool force : {true, false}) {
+    engine::ShardFleetConfig cfg;
+    cfg.shards = 2;
+    RecordingTransport transport;  // outlives the fleet's threads
+    engine::ShardFleet fleet(Curve::k163(), cfg, refuse_all(), 1);
+    fleet.start(transport);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // asleep
+    const auto t0 = Clock::now();
+    fleet.stop(force);
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(1)) << force;
+    EXPECT_FALSE(fleet.running());
+  }
+}
+
+TEST(ShardFleet, UnackedChallengeIsRetransmittedOnItsTimer) {
+  // One commitment opens a session; its challenge is never acked and no
+  // other datagram arrives, so only the ARQ timer can wake the shard.
+  const Curve& c = Curve::k163();
+  Xoshiro256 keyrng(3);
+  const auto kp = proto::schnorr_keygen(c, keyrng);
+  engine::ShardFleetConfig cfg;
+  cfg.shards = 2;
+  cfg.cycles_per_us = 0.01;  // 1 cycle = 100 µs
+  const double rto_ms =
+      static_cast<double>(cfg.gateway.delivery.rto_initial) /
+      cfg.cycles_per_us * 1e-3;  // 6.4 ms
+  engine::SessionFactory factory = [&c, &kp](std::uint64_t id) {
+    engine::SessionSetup s;
+    auto rng = std::make_unique<Xoshiro256>(300 + id);
+    s.machine = std::make_unique<proto::SchnorrVerifier>(
+        c, kp.X, *rng, proto::SchnorrVerifier::Mode::kDeferred);
+    s.deferred_schnorr = true;
+    s.rng = std::move(rng);
+    return s;
+  };
+  RecordingTransport transport;  // outlives the fleet's threads
+  engine::ShardFleet fleet(c, cfg, factory, 1);
+  fleet.start(transport);
+  // Let both shards reach their wait before the datagram arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  core::EventQueue cq;
+  engine::ReliableEndpoint client(cq, 9, 0xC1);
+  client.set_frame_sink([&fleet](std::vector<std::uint8_t> bytes) {
+    engine::IngressItem it;
+    it.session = 9;
+    it.peer = engine::Peer{1, 1};
+    it.bytes = std::move(bytes);
+    ASSERT_TRUE(fleet.offer(0, std::move(it)));
+  });
+  Xoshiro256 krng(4);
+  client.send_message(
+      "commitment R",
+      proto::encode_point(c, medsec::ecc::generator_comb(c).mult_ct(
+                                 krng.uniform_nonzero(c.order()))));
+
+  const auto challenges = [&] {
+    std::vector<Clock::time_point> at;
+    for (const auto& s : transport.snapshot())
+      if (s.type == engine::FrameType::kData && s.label == "challenge e")
+        at.push_back(s.at);
+    return at;
+  };
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (challenges().size() < 2 && Clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  fleet.stop(/*force=*/true);
+
+  const auto at = challenges();
+  ASSERT_GE(at.size(), 2u) << "no retransmit within 5 s";
+  const double gap_ms =
+      std::chrono::duration<double, std::milli>(at[1] - at[0]).count();
+  // Not before its RTO (less one cycle of tick rounding), and not much
+  // after it: the shard slept until the timer's deadline.
+  EXPECT_GE(gap_ms, rto_ms - 0.2);
+  EXPECT_LE(gap_ms, rto_ms + 250.0);
+  EXPECT_EQ(fleet.totals().opened, 1u);
+}
+
+TEST(ShardFleet, DoorbellLosesNoOfferAtAnyGap) {
+  // Single offers, each landing at a random point of the shard's way back
+  // to sleep after the previous one. A lost wakeup leaves the offer in the
+  // mailbox with no timer pending: the shard would sleep forever.
+  constexpr std::uint64_t kOffers = 2'000;
+  engine::ShardFleetConfig cfg;
+  cfg.shards = 2;
+  RecordingTransport transport;  // outlives the fleet's threads
+  engine::ShardFleet fleet(Curve::k163(), cfg, refuse_all(), 1);
+  fleet.start(transport);
+  Xoshiro256 gaps(0xD00B);
+  for (std::uint64_t i = 0; i < kOffers; ++i) {
+    engine::IngressItem it;
+    it.session = i + 1;
+    it.bytes = {0x00};
+    ASSERT_TRUE(fleet.offer(0, std::move(it)));
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (fleet.totals().ingress < i + 1)
+      ASSERT_TRUE(Clock::now() < deadline) << "offer " << i << " never drained";
+    const auto gap = std::chrono::microseconds(gaps.next_u64() % 40);
+    for (const auto t = Clock::now(); Clock::now() - t < gap;) {
+    }
+  }
+  fleet.stop();
+  const engine::ShardStats st = fleet.totals();
+  EXPECT_EQ(st.ingress, kOffers);
+  EXPECT_EQ(st.opened, 0u);
+  EXPECT_LT(st.ticks, 4 * kOffers);  // woken per offer, never spinning
 }
 
 // --- shard-count invariance --------------------------------------------------
