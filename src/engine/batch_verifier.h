@@ -68,8 +68,7 @@ BatchVerifyOutcome schnorr_verify_batch(
 
 /// One Schnorr transcript awaiting verification, still in wire form.
 struct PendingTranscript {
-  /// Owning session id — lets drain accounting name the sessions whose
-  /// verdicts are still in flight (0 = anonymous).
+  /// Owning session id, for the caller's bookkeeping (0 = anonymous).
   std::uint64_t session = 0;
   ecc::Point X;                               ///< registered device key
   std::vector<std::uint8_t> commitment_wire;  ///< compressed R_c
@@ -86,6 +85,17 @@ struct BatchVerifierStats {
   std::size_t decode_failures = 0;   ///< commitments that failed decoding
   std::size_t rlc_failures = 0;      ///< batches that fell back to singles
   std::size_t single_fallbacks = 0;  ///< per-item checks run by fallbacks
+
+  BatchVerifierStats& operator+=(const BatchVerifierStats& o) {
+    items += o.items;
+    batches += o.batches;
+    accepted += o.accepted;
+    rejected += o.rejected;
+    decode_failures += o.decode_failures;
+    rlc_failures += o.rlc_failures;
+    single_fallbacks += o.single_fallbacks;
+    return *this;
+  }
 };
 
 /// Thread-safe batched verifier queue. batch_size == 1 degenerates to
@@ -108,9 +118,6 @@ class SchnorrBatchVerifier {
   /// Transcripts without a verdict yet: queued PLUS mid-verification on
   /// some thread. A session is only "drained" once this excludes it.
   std::size_t pending() const;
-  /// Session ids of every verdict-pending transcript (queued or mid-
-  /// verification), unsorted; the drain straggler report's verifier half.
-  std::vector<std::uint64_t> pending_sessions() const;
   BatchVerifierStats stats() const;
 
  private:
@@ -120,9 +127,9 @@ class SchnorrBatchVerifier {
   std::size_t batch_size_;
   mutable std::mutex mu_;          ///< guards queue_, in_verify_, stats_
   std::vector<PendingTranscript> queue_;
-  /// Session ids of batches moved out of queue_ and currently inside
-  /// verify_batch — still verdict-pending, no longer "queued".
-  std::vector<std::uint64_t> in_verify_;
+  /// Transcripts moved out of queue_ and currently inside verify_batch —
+  /// still verdict-pending, no longer "queued".
+  std::size_t in_verify_ = 0;
   BatchVerifierStats stats_;
   std::mutex rng_mu_;              ///< guards rng_
   rng::Xoshiro256 rng_;

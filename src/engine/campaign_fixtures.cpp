@@ -117,6 +117,17 @@ GatewayServer::Judge judge_for(std::uint64_t gid) {
   }
 }
 
+SessionFactory session_factory(const Fixtures& fx, std::uint64_t seed) {
+  return [&fx, seed](std::uint64_t gid) {
+    SessionSetup s;
+    s.rng = std::make_unique<rng::Xoshiro256>(mix_seed(seed, gid * 4 + 1));
+    s.deferred_schnorr = gid % 4 == 0;
+    s.machine = server_factory(fx, gid, s.deferred_schnorr)(*s.rng);
+    s.judge = judge_for(gid);
+    return s;
+  };
+}
+
 }  // namespace campaign
 
 }  // namespace medsec::engine

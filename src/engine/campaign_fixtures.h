@@ -19,6 +19,7 @@
 
 #include "ecc/curve.h"
 #include "engine/gateway.h"
+#include "engine/shard.h"
 #include "protocol/ecies.h"
 #include "protocol/mutual_auth.h"
 #include "protocol/peeters_hermans.h"
@@ -83,6 +84,11 @@ MachineFactory server_factory(const Fixtures& fx, std::uint64_t gid,
 /// Verdict extraction for gid's protocol (inline machines only; deferred
 /// Schnorr verdicts come from the batch queue).
 GatewayServer::Judge judge_for(std::uint64_t gid);
+
+/// The campaign's server half for each session id gid: protocol gid % 4
+/// on a machine rng seeded mix_seed(seed, gid*4+1), Schnorr (gid % 4 ==
+/// 0) deferred to the shard's batch verifier. `fx` must outlive it.
+SessionFactory session_factory(const Fixtures& fx, std::uint64_t seed);
 
 /// One session's campaign outcome — the digest unit.
 struct SessionOutcome {

@@ -233,11 +233,6 @@ void GatewayServer::report_fault_telemetry(std::uint64_t id,
   if (unrecovered) ++stats_.faults_unrecovered;
 }
 
-GatewayFaultTelemetry GatewayServer::fault_telemetry(std::uint64_t id) const {
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? GatewayFaultTelemetry{} : it->second.faults;
-}
-
 std::vector<std::uint64_t> GatewayServer::session_ids() const {
   std::vector<std::uint64_t> ids;
   ids.reserve(sessions_.size());
@@ -328,11 +323,10 @@ void GatewayServer::restore_session(
 
 DeviceEndpoint::DeviceEndpoint(core::EventQueue& queue, std::uint64_t id,
                                std::uint64_t seed,
-                               protocol::SessionMachine& machine,
-                               const DeliveryConfig& config)
+                               protocol::SessionMachine& machine)
     : queue_(&queue),
       machine_(&machine),
-      endpoint_(queue, id, mix_seed(seed, id ^ 0xDE71CEULL), config) {
+      endpoint_(queue, id, mix_seed(seed, id ^ 0xDE71CEULL)) {
   endpoint_.set_message_sink([this](const Frame& f) { on_delivered(f); });
   endpoint_.set_failure_sink([this] { failed_ = true; });
 }

@@ -22,7 +22,9 @@
 //
 // The chaos campaign types below belong to run_sharded_campaign()
 // (shard.h), the proof harness: device ↔ gateway sessions over seeded
-// LossyLinks, bit-reproducible across reruns, shard and thread counts.
+// LossyLinks, served by the same ShardEngines (and so the same
+// GatewayServers and batch verifiers) as socket mode, bit-reproducible
+// across reruns, shard and thread counts.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +80,22 @@ struct GatewayStats {
   std::uint64_t faults_detected = 0;
   std::uint64_t fault_retries = 0;
   std::uint64_t faults_unrecovered = 0;
+
+  GatewayStats& operator+=(const GatewayStats& o) {
+    opened += o.opened;
+    shed += o.shed;
+    completed += o.completed;
+    accepted += o.accepted;
+    failed += o.failed;
+    quarantined += o.quarantined;
+    deadline_evicted += o.deadline_evicted;
+    idle_evicted += o.idle_evicted;
+    restored += o.restored;
+    faults_detected += o.faults_detected;
+    fault_retries += o.fault_retries;
+    faults_unrecovered += o.faults_unrecovered;
+    return *this;
+  }
 };
 
 /// One session's device-reported fault counters (carried through
@@ -132,8 +150,6 @@ class GatewayServer {
   /// target inherits the device's fault history.
   void report_fault_telemetry(std::uint64_t id, std::uint64_t detected,
                               std::uint64_t retries, bool unrecovered);
-  /// This session's accumulated fault telemetry (zeros for unknown ids).
-  GatewayFaultTelemetry fault_telemetry(std::uint64_t id) const;
   const GatewayStats& stats() const { return stats_; }
   std::vector<std::uint64_t> session_ids() const;
 
@@ -189,8 +205,7 @@ class GatewayServer {
 class DeviceEndpoint {
  public:
   DeviceEndpoint(core::EventQueue& queue, std::uint64_t id,
-                 std::uint64_t seed, protocol::SessionMachine& machine,
-                 const DeliveryConfig& config = {});
+                 std::uint64_t seed, protocol::SessionMachine& machine);
 
   void set_uplink(ReliableEndpoint::FrameSink sink) {
     endpoint_.set_frame_sink(std::move(sink));
@@ -235,14 +250,9 @@ struct ChaosCampaignConfig {
   std::uint64_t seed = 0xC4A05CA7;
   FaultProfile uplink;
   FaultProfile downlink;
-  DeliveryConfig delivery;
-  core::Cycle session_deadline = 0;
-  core::Cycle idle_timeout = 0;
-  /// Virtual-time safety valve per shard.
-  core::Cycle max_cycles = 4'000'000;
   /// >0: at this virtual cycle each shard snapshots EVERY session, tears
   /// its GatewayServer down, and restores onto a fresh one — node death
-  /// mid-protocol, the failover drill.
+  /// mid-protocol, the failover drill (ShardEngine::fail_over).
   core::Cycle failover_at = 0;
 };
 

@@ -37,12 +37,14 @@
 //     shard here);
 //   * the relaxed stats counters.
 //
-// Deterministic mode: run_sharded_campaign() is the chaos campaign, with
-// sessions hash-partitioned across N shard worlds and Schnorr verdicts
-// deferred to the per-shard batch verifiers. Because every per-session
-// seed is a pure function of (campaign seed, global session id) — see
-// campaign_fixtures.h — its outcome digest is the same at ANY shard and
-// thread count; the shard suite pins it to a golden value.
+// Deterministic mode: run_sharded_campaign() is the chaos campaign on a
+// ShardFleet never start()ed, each shard's world on a pool runner: uplinks
+// enter through ShardEngine::ingest, downlinks leave through a Transport
+// onto seeded LossyLinks, failover is fail_over(). Every per-session seed
+// is a pure function of (campaign seed, global session id) — see
+// campaign_fixtures.h — and no seed depends on a shard's index, so the
+// outcome digest is the same at ANY shard and thread count; the shard
+// suite pins it to a golden value.
 #pragma once
 
 #include <atomic>
@@ -70,9 +72,6 @@ struct Peer {
   std::uint32_t ip = 0;
   std::uint16_t port = 0;
   bool valid() const { return port != 0; }
-  bool operator==(const Peer& o) const {
-    return ip == o.ip && port == o.port;
-  }
 };
 
 /// One ingress datagram, routed into a shard mailbox.
@@ -84,7 +83,7 @@ struct IngressItem {
 
 /// Where a shard writes a session's downlink bytes. Implementations: the
 /// UDP front end (net.h, sendto is datagram-atomic and thread-safe) and
-/// the deterministic in-process LossyLink adapter used by tests.
+/// the chaos campaign's in-process LossyLink adapter (shard.cpp).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -128,8 +127,8 @@ struct ShardFleetConfig {
   /// Per-shard batch verifier flush threshold; the shard tick also
   /// flushes whatever is queued, so this is a ceiling, not a latency.
   std::size_t verify_batch = 64;
-  /// Base seed for per-session derivations (delivery jitter, RLC
-  /// coefficients are mixed per shard/session from it).
+  /// Base seed: every shard's gateway derives per-session ARQ jitter from
+  /// it alone; each shard's RLC coefficients also mix in its index.
   std::uint64_t seed = 0x5EC0FFEE;
   GatewayConfig gateway;
   /// Socket mode: virtual cycles per real microsecond (drives ARQ
@@ -149,6 +148,18 @@ struct ShardStats {
   std::uint64_t rejected = 0;
   std::uint64_t verifier_flushes = 0;  ///< ticks that ran an MSM
   std::uint64_t ticks = 0;
+
+  ShardStats& operator+=(const ShardStats& o) {
+    ingress += o.ingress;
+    mailbox_shed += o.mailbox_shed;
+    opened += o.opened;
+    completed += o.completed;
+    accepted += o.accepted;
+    rejected += o.rejected;
+    verifier_flushes += o.verifier_flushes;
+    ticks += o.ticks;
+    return *this;
+  }
 };
 
 /// One shard: event queue + gateway partition + batch verifier + mailbox
@@ -181,9 +192,21 @@ class ShardEngine {
 
   void set_transport(Transport* t) { transport_ = t; }
 
-  /// Drain up to `limit` mailbox items into the gateway (auto-opening
-  /// unknown sessions via the factory). Returns items processed.
+  /// Serve one datagram: note its return address, open an unknown id via
+  /// the factory, feed the gateway. drain_mailbox runs this per item.
+  void ingest(IngressItem&& item);
+
+  /// Run up to `limit` mailbox items through ingest(). Returns items run.
   std::size_t drain_mailbox(std::size_t limit);
+
+  /// Open session `id` via the factory before any datagram arrives (the
+  /// factory may refuse the id, admission control may shed it).
+  void open_session(std::uint64_t id);
+
+  /// Node death mid-protocol: snapshot every session in id order, replace
+  /// the gateway, and restore each session onto the new one via the
+  /// factory. Records, peers and queued deferred transcripts survive.
+  void fail_over();
 
   /// Run timers due by virtual cycle `t` (ARQ retransmits, deadlines).
   void advance_to(core::Cycle t) { queue_.run_until(t); }
@@ -211,13 +234,21 @@ class ShardEngine {
   core::EventQueue& queue() { return queue_; }
   GatewayServer& gateway() { return *gateway_; }
   SchnorrBatchVerifier& verifier() { return verifier_; }
+  /// The gateway ledger across fail_over(): the live gateway's stats plus
+  /// those of every gateway it replaced, counting deferred accepts (the
+  /// gateway settles a deferred session with a placeholder reject).
+  GatewayStats gateway_stats() const {
+    GatewayStats s = retired_;
+    s += gateway_->stats();
+    s.accepted += deferred_accepted_;
+    return s;
+  }
 
-  /// Verdict bookkeeping for deferred sessions (shard-thread owned; read
-  /// from other threads only after the shard stops).
+  /// One record per landed verdict, inline or deferred (shard-thread
+  /// owned; read from other threads only after the shard stops).
   struct Record {
     bool completed = false;  ///< verdict landed
     bool accepted = false;
-    core::Cycle settled = 0;
   };
   const std::unordered_map<std::uint64_t, Record>& records() const {
     return records_;
@@ -226,12 +257,14 @@ class ShardEngine {
   ShardStats stats() const;
 
  private:
-  void open_from_ingress(const IngressItem& item);
+  std::unique_ptr<GatewayServer> make_gateway();
+  GatewayServer::Downlink downlink_to(std::uint64_t id);
+  /// Inline judge or batch-verifier handoff; both land verdicts in records_.
+  GatewayServer::Judge make_judge(std::uint64_t id, SessionSetup& setup);
   void record_verdict(std::uint64_t id, bool accepted);
 
   std::size_t index_;
   ShardFleetConfig config_;
-  const ecc::Curve* curve_;
   SessionFactory factory_;
   core::EventQueue queue_;
   std::unique_ptr<GatewayServer> gateway_;
@@ -240,6 +273,8 @@ class ShardEngine {
   Transport* transport_ = nullptr;
   std::unordered_map<std::uint64_t, Peer> peers_;
   std::unordered_map<std::uint64_t, Record> records_;
+  GatewayStats retired_;  ///< stats of gateways fail_over() replaced
+  std::uint64_t deferred_accepted_ = 0;  ///< batch verdicts that accepted
 
   // Doorbell. Every access to sleeping_ is a seq_cst exchange: a producer
   // that reads false was ordered before the shard's announcing exchange,
@@ -308,7 +343,7 @@ class ShardFleet {
 // --- deterministic sharded campaign ------------------------------------------
 
 struct ShardedCampaignConfig {
-  /// The campaign knobs — seeds, fault profiles, deadlines, and the
+  /// The campaign knobs — seeds, fault profiles, failover, and the
   /// `threads` fan-out over shard worlds (1 = serial; bit-identical at
   /// any value). Sessions are placed by shard_of(gid, shards).
   ChaosCampaignConfig chaos;
@@ -320,14 +355,14 @@ struct ShardedCampaignConfig {
 struct ShardedCampaignResult {
   ChaosCampaignResult chaos;
   BatchVerifierStats verifier;   ///< summed across shards
-  std::size_t shards = 0;
 };
 
 /// Run a seeded chaos campaign: `sessions` device↔gateway sessions (mixed
 /// Schnorr / Peeters–Hermans / mutual-auth / ECIES), each over its own
-/// seeded LossyLink, hash-partitioned across `shards` deterministic
-/// worlds, gid%4==0 Schnorr verdicts deferred through per-shard batch
-/// verifiers. The digest is the same at any shard and thread count.
+/// seeded LossyLink, hash-partitioned across the `shards` ShardEngines of
+/// one ShardFleet built from campaign::session_factory, gid%4==0 Schnorr
+/// verdicts deferred through the per-shard batch verifiers. The digest is
+/// the same at any shard and thread count.
 ShardedCampaignResult run_sharded_campaign(
     const ShardedCampaignConfig& config);
 

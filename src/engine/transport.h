@@ -98,9 +98,6 @@ struct FaultProfile {
   double reorder = 0.0;    ///< frame held back past its successors
   core::Cycle delay_min = 8;
   core::Cycle delay_max = 32;
-  bool faultless() const {
-    return drop == 0 && corrupt == 0 && duplicate == 0 && reorder == 0;
-  }
 };
 
 struct LinkStats {
@@ -115,6 +112,17 @@ struct LinkStats {
   /// failures must account for every one of these — the chaos campaign's
   /// zero-accepted-corrupt invariant.
   std::uint64_t corrupted_delivered = 0;
+
+  LinkStats& operator+=(const LinkStats& o) {
+    sent += o.sent;
+    delivered += o.delivered;
+    dropped += o.dropped;
+    corrupted += o.corrupted;
+    duplicated += o.duplicated;
+    reordered += o.reordered;
+    corrupted_delivered += o.corrupted_delivered;
+    return *this;
+  }
 };
 
 /// An in-process bidirectional datagram channel with scheduled delivery

@@ -4,10 +4,11 @@
 // (one golden run_sharded_campaign digest at ANY shard and thread count,
 // failover and faults included), per-shard batch verification with
 // forgery isolation, inline-judged and verdict-pending sessions through
-// the session factory, frame-buffer pooling, the shard loops' blocking
-// wait (idle shards stay asleep, timers and stop() still wake them, no
-// offer is lost to the doorbell handshake), and the UDP front end
-// end-to-end over loopback.
+// the session factory, failover with verdicts still queued, downlinks
+// that do not depend on the shard index, frame-buffer pooling, the shard
+// loops' blocking wait (idle shards stay asleep, timers and stop() still
+// wake them, no offer is lost to the doorbell handshake), and the UDP
+// front end end-to-end over loopback.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -317,25 +318,12 @@ struct LoopClients {
   std::vector<std::unique_ptr<engine::DeviceEndpoint>> devices;
 };
 
-/// The campaign's server half for each id: protocol id % 4, Schnorr
-/// (id % 4 == 0) deferred to the shard's batch verifier.
-engine::SessionFactory campaign_factory(const engine::campaign::Fixtures& fx) {
-  return [&fx](std::uint64_t id) {
-    engine::SessionSetup s;
-    s.rng = std::make_unique<Xoshiro256>(1000 + id);
-    s.deferred_schnorr = id % 4 == 0;
-    s.machine =
-        engine::campaign::server_factory(fx, id, s.deferred_schnorr)(*s.rng);
-    s.judge = engine::campaign::judge_for(id);
-    return s;
-  };
-}
-
 TEST(ShardEngine, VerifyBatchOfOneVerifiesEachTranscriptAlone) {
   const auto fx = engine::campaign::make_fixtures(0x5E55);
   engine::ShardFleetConfig cfg;
   cfg.verify_batch = 1;
-  engine::ShardEngine eng(0, cfg, fx.curve, campaign_factory(fx),
+  engine::ShardEngine eng(0, cfg, fx.curve,
+                          engine::campaign::session_factory(fx, 1),
                           /*producers=*/1);
   LoopClients clients(eng);
   for (const std::uint64_t id : {4u, 8u, 12u}) clients.open(fx, id);
@@ -359,7 +347,8 @@ TEST(ShardEngine, InlineJudgedSessionsLandAcceptedRecords) {
   // settles the verdict inline; the batch verifier is never touched.
   const auto fx = engine::campaign::make_fixtures(0x5E55);
   engine::ShardFleetConfig cfg;
-  engine::ShardEngine eng(0, cfg, fx.curve, campaign_factory(fx),
+  engine::ShardEngine eng(0, cfg, fx.curve,
+                          engine::campaign::session_factory(fx, 1),
                           /*producers=*/1);
   LoopClients clients(eng);
   for (const std::uint64_t id : {1u, 2u, 3u}) clients.open(fx, id);
@@ -384,7 +373,8 @@ TEST(ShardEngine, DeferredVerdictIsPendingUntilTheFlush) {
   const auto fx = engine::campaign::make_fixtures(0x5E55);
   engine::ShardFleetConfig cfg;
   cfg.verify_batch = 64;  // the exchange alone never fills a batch
-  engine::ShardEngine eng(0, cfg, fx.curve, campaign_factory(fx),
+  engine::ShardEngine eng(0, cfg, fx.curve,
+                          engine::campaign::session_factory(fx, 1),
                           /*producers=*/1);
   LoopClients clients(eng);
   clients.open(fx, 4);
@@ -403,6 +393,99 @@ TEST(ShardEngine, DeferredVerdictIsPendingUntilTheFlush) {
   EXPECT_TRUE(rec->second.completed);
   EXPECT_TRUE(rec->second.accepted);
   EXPECT_TRUE(eng.quiescent());
+}
+
+TEST(ShardEngine, FailOverKeepsQueuedDeferredVerdicts) {
+  const auto fx = engine::campaign::make_fixtures(0x5E55);
+  engine::ShardFleetConfig cfg;
+  cfg.verify_batch = 64;  // the exchanges alone never fill a batch
+  engine::ShardEngine eng(0, cfg, fx.curve,
+                          engine::campaign::session_factory(fx, 1),
+                          /*producers=*/1);
+  LoopClients clients(eng);
+  const std::vector<std::uint64_t> ids = {1, 4, 8, 12};  // 1 inline, 3 deferred
+  for (const std::uint64_t id : ids) clients.open(fx, id);
+  clients.settle();
+  eng.gateway().report_fault_telemetry(1, /*detected=*/2, /*retries=*/1,
+                                       /*unrecovered=*/false);
+  ASSERT_EQ(eng.verifier().pending(), 3u);
+
+  // Node death with three transcripts still queued: the verifier holds
+  // callbacks for sessions of the gateway fail_over destroys.
+  eng.fail_over();
+  EXPECT_EQ(eng.verifier().pending(), 3u);
+  eng.flush_verifier();
+
+  for (const std::uint64_t id : ids) {
+    const auto rec = eng.records().find(id);
+    ASSERT_NE(rec, eng.records().end()) << id;
+    EXPECT_TRUE(rec->second.completed) << id;
+    EXPECT_TRUE(rec->second.accepted) << id;
+    EXPECT_EQ(eng.gateway().status(id),
+              engine::GatewaySessionStatus::kCompleted) << id;
+  }
+  // One ledger across the failover: nothing lost, nothing counted twice.
+  const engine::GatewayStats gs = eng.gateway_stats();
+  EXPECT_EQ(gs.opened, ids.size());
+  EXPECT_EQ(gs.completed, ids.size());
+  EXPECT_EQ(gs.accepted, ids.size());
+  EXPECT_EQ(gs.restored, ids.size());
+  EXPECT_EQ(gs.faults_detected, 2u);
+  EXPECT_EQ(gs.fault_retries, 1u);
+  EXPECT_EQ(eng.stats().accepted, ids.size());
+  EXPECT_TRUE(eng.quiescent());
+}
+
+/// Transport that records each downlink with the cycle it left at, and
+/// delivers none of them.
+struct DroppingTransport final : engine::Transport {
+  explicit DroppingTransport(const core::EventQueue& q) : queue(q) {}
+  void send_downlink(std::uint64_t, const engine::Peer&,
+                     std::vector<std::uint8_t> bytes) override {
+    sent.emplace_back(queue.now(), std::move(bytes));
+  }
+  const core::EventQueue& queue;
+  std::vector<std::pair<core::Cycle, std::vector<std::uint8_t>>> sent;
+};
+
+TEST(ShardEngine, DownlinksDoNotDependOnTheShardIndex) {
+  // The device's opening Schnorr commitment, captured once.
+  const auto fx = engine::campaign::make_fixtures(0x5E55);
+  core::EventQueue cq;
+  Xoshiro256 drng(4);
+  const auto prover = engine::campaign::device_factory(fx, 4)(drng);
+  engine::DeviceEndpoint dev(cq, 4, 0xD0, *prover);
+  std::vector<std::vector<std::uint8_t>> opening;
+  dev.set_uplink([&opening](std::vector<std::uint8_t> bytes) {
+    opening.push_back(std::move(bytes));
+  });
+  dev.start();
+  ASSERT_EQ(opening.size(), 1u);
+
+  // Every downlink is dropped, so the challenge is retransmitted on its
+  // seeded-jitter ARQ timers until the endpoint gives up.
+  const auto downlinks = [&](std::size_t index) {
+    engine::ShardFleetConfig cfg;
+    engine::ShardEngine eng(index, cfg, fx.curve,
+                            engine::campaign::session_factory(fx, 1),
+                            /*producers=*/1);
+    DroppingTransport drop(eng.queue());
+    eng.set_transport(&drop);
+    eng.ingest({4, engine::Peer{1, 1}, opening[0]});
+    eng.advance_to(1'000'000);
+    return drop.sent;
+  };
+  const auto at0 = downlinks(0);
+  std::size_t challenges = 0;
+  for (const auto& [at, bytes] : at0) {
+    const auto f = engine::decode_frame(bytes);
+    ASSERT_TRUE(f.has_value());
+    if (f->type == engine::FrameType::kData) ++challenges;
+  }
+  EXPECT_GE(challenges, 3u);
+  // Same bytes at the same cycles wherever the session is hosted: the
+  // campaign digest may not move with the shard count.
+  EXPECT_EQ(downlinks(3), at0);
 }
 
 // --- ShardFleet loops: sleep until a datagram, a timer or stop() -------------
